@@ -531,9 +531,14 @@ class Assembler
         }
         if (d == ".word" || d == ".half" || d == ".byte") {
             unsigned width = d == ".word" ? 4 : d == ".half" ? 2 : 1;
+            // Numeric operands accumulate into one Bytes item.
+            std::vector<uint8_t> bytes;
             for (const std::string &operand : ops) {
                 // .word label is the one relocatable data form.
                 if (width == 4 && !looksNumeric(operand)) {
+                    if (!bytes.empty())
+                        appendBytes(st.line, std::move(bytes));
+                    bytes.clear();
                     Item item;
                     item.kind = Item::Kind::WordSym;
                     item.offset = currentSection().size;
@@ -545,11 +550,11 @@ class Assembler
                     continue;
                 }
                 int64_t v = parseNumber(st.line, operand);
-                std::vector<uint8_t> bytes(width);
                 for (unsigned b = 0; b < width; ++b)
-                    bytes[b] = static_cast<uint8_t>(v >> (8 * b));
-                appendBytes(st.line, bytes);
+                    bytes.push_back(static_cast<uint8_t>(v >> (8 * b)));
             }
+            if (!bytes.empty())
+                appendBytes(st.line, std::move(bytes));
             return;
         }
         if (d == ".space" || d == ".zero" || d == ".skip") {

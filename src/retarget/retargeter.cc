@@ -1,6 +1,7 @@
 #include "retarget/retargeter.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "assembler/assembler.hh"
 #include "isa/instr.hh"
@@ -75,6 +76,79 @@ nativeLine(const Instr &in, const std::string &branch_target)
     return disassemble(in);
 }
 
+/**
+ * The fixed part of every verification trial, assembled once: the
+ * data image (a signature area and a scratch buffer the load/store
+ * cases address through rs1) and the epilogue that dumps x5..x15 and
+ * the buffer into the signature before halting. A trial's code is
+ * spliced in front of the epilogue; both are position independent
+ * (`la` is lui+addi, macro branches are pc-relative).
+ */
+struct Harness
+{
+    Program image;                 ///< data segment + symbols, no text
+    std::vector<uint8_t> epilogue; ///< encoded `done_path:` tail
+    uint32_t signature = 0;
+    uint32_t buf = 0;
+};
+
+const Harness &
+harness()
+{
+    static const Harness h = [] {
+        std::string src =
+            "    .data\nsignature:\n    .space 96\n"
+            "buf:\n    .word 0x89ABCDEF, 0x01234567,"
+            " 0xF00DFACE, 0x5A5A5A5A\n"
+            "    .space 16\n    .text\n_start:\n"
+            "    la x1, signature\n";
+        for (unsigned reg_i = 5; reg_i <= 15; ++reg_i)
+            src += strFormat("    sw x%u, %u(x1)\n", reg_i,
+                             (reg_i - 5) * 4);
+        // Store buffer back for store-op comparison.
+        src += "    la x1, buf\n";
+        for (unsigned w = 0; w < 4; ++w) {
+            src += strFormat("    lw x5, %u(x1)\n", w * 4);
+            src += "    la x6, signature\n";
+            src += strFormat("    sw x5, %u(x6)\n", 44 + w * 4);
+        }
+        src += "    ecall\n";
+        Harness out;
+        out.image = assemble(src);
+        out.epilogue = std::move(out.image.segments.front().bytes);
+        out.image.textSize = 0;
+        out.signature = out.image.symbol("signature");
+        out.buf = out.image.symbol("buf");
+        return out;
+    }();
+    return h;
+}
+
+void
+appendWord(std::vector<uint8_t> &bytes, uint32_t word)
+{
+    for (unsigned b = 0; b < 4; ++b)
+        bytes.push_back(static_cast<uint8_t>(word >> (8 * b)));
+}
+
+/** Boot @p sim on the harness with @p code spliced in front of the
+ *  epilogue, set sp and x5..x15 (from @p regs) and run to the halt. */
+bool
+runTrial(RefSim &sim, Program &image, const std::vector<uint8_t> &code,
+         const std::array<uint32_t, 16> &regs)
+{
+    std::vector<uint8_t> &text = image.segments.front().bytes;
+    const std::vector<uint8_t> &epilogue = harness().epilogue;
+    text = code;
+    text.insert(text.end(), epilogue.begin(), epilogue.end());
+    image.textSize = static_cast<uint32_t>(text.size());
+    sim.reset(image);
+    sim.setReg(reg::sp, 0x40000);
+    for (unsigned reg_i = 5; reg_i <= 15; ++reg_i)
+        sim.setReg(reg_i, regs[reg_i]);
+    return sim.run(100'000).reason == StopReason::Halted;
+}
+
 } // namespace
 
 Retargeter::Retargeter(const InstrSubset &target, uint64_t seed)
@@ -108,7 +182,16 @@ Retargeter::minimalSubset()
 }
 
 bool
-Retargeter::verifyCandidate(Op op, const std::string &body)
+Retargeter::verifyMacro(Op op, const std::string &body)
+{
+    RefSim native;
+    RefSim expanded;
+    return verifyOn(native, expanded, op, body);
+}
+
+bool
+Retargeter::verifyOn(RefSim &native_sim, RefSim &expanded_sim, Op op,
+                     const std::string &body)
 {
     // Directed operand/alias cases: the macro must behave exactly
     // like the original instruction for every register pattern a
@@ -124,6 +207,13 @@ Retargeter::verifyCandidate(Op op, const std::string &body)
         static_cast<int32_t>(0x80000000), 0x1234, -0x1234,
     };
     const std::string macro_def = wrapMacro(op, body);
+    const InstrType type = opInfo(op).type;
+    const bool memory_op = isLoad(op) || isStore(op);
+    const Harness &h = harness();
+
+    // Both sides run on the harness image, each on its simulator.
+    Program image = h.image;
+    std::vector<uint8_t> native;
 
     Rng vrng(0xC0FFEE ^ static_cast<uint64_t>(op));
     for (const Combo &c : combos) {
@@ -139,16 +229,11 @@ Retargeter::verifyCandidate(Op op, const std::string &body)
                 imm = vrng.range(1, 31);
 
             // Build the instruction under test.
-            std::string native;
-            std::string invocation;
-            const std::string tgt = "done_path";
-            switch (opInfo(op).type) {
-              case InstrType::R: {
-                Instr in = decode(encodeR(op, c.rd, c.rs1, c.rs2));
-                native = nativeLine(in, "");
-                invocation = rewriteLine(in, "");
+            Instr in;
+            switch (type) {
+              case InstrType::R:
+                in = decode(encodeR(op, c.rd, c.rs1, c.rs2));
                 break;
-              }
               case InstrType::I: {
                 if (isLoad(op)) {
                     const unsigned width =
@@ -156,15 +241,10 @@ Retargeter::verifyCandidate(Op op, const std::string &body)
                         : (op == Op::Lh || op == Op::Lhu) ? 2 : 1;
                     const int32_t off = static_cast<int32_t>(
                         vrng.below(16 / width) * width);
-                    Instr in = decode(
-                        encodeI(op, c.rd, c.rs1, off));
-                    native = nativeLine(in, "");
-                    invocation = rewriteLine(in, "");
+                    in = decode(encodeI(op, c.rd, c.rs1, off));
                     break;
                 }
-                Instr in = decode(encodeI(op, c.rd, c.rs1, imm));
-                native = nativeLine(in, "");
-                invocation = rewriteLine(in, "");
+                in = decode(encodeI(op, c.rd, c.rs1, imm));
                 break;
               }
               case InstrType::S: {
@@ -172,99 +252,55 @@ Retargeter::verifyCandidate(Op op, const std::string &body)
                     : op == Op::Sh ? 2 : 1;
                 const int32_t off = static_cast<int32_t>(
                     vrng.below(16 / width) * width);
-                Instr in = decode(encodeS(op, c.rs1, c.rs2, off));
-                native = nativeLine(in, "");
-                invocation = rewriteLine(in, "");
+                in = decode(encodeS(op, c.rs1, c.rs2, off));
                 break;
               }
-              case InstrType::B: {
-                Instr in = decode(encodeB(op, c.rs1, c.rs2, 8));
-                native = nativeLine(in, tgt);
-                invocation = rewriteLine(in, tgt);
+              case InstrType::B:
+                // Taken lands on the epilogue, past the marker.
+                in = decode(encodeB(op, c.rs1, c.rs2, 8));
                 break;
-              }
-              case InstrType::U: {
-                Instr in = decode(encodeU(
+              case InstrType::U:
+                in = decode(encodeU(
                     op, c.rd,
                     static_cast<int32_t>(vrng.next32() & 0xFFFFF)));
-                native = nativeLine(in, "");
-                invocation = rewriteLine(in, "");
                 break;
-              }
               default:
                 return false;
             }
 
-            // Shared harness: known register file, a scratch buffer
-            // the loads/stores hit via c.rs1, results dumped to the
-            // signature.
-            auto harness = [&](const std::string &insn_line,
-                               const std::string &defs) {
-                std::string src = defs;
-                src += "    .data\nsignature:\n    .space 96\n"
-                    "buf:\n    .word 0x89ABCDEF, 0x01234567,"
-                    " 0xF00DFACE, 0x5A5A5A5A\n"
-                    "    .space 16\n    .text\n_start:\n"
-                    "    li sp, 0x40000\n";
-                for (unsigned reg_i = 5; reg_i <= 15; ++reg_i) {
-                    int32_t v = reg_i == c.rs1 ? v1
-                        : reg_i == c.rs2 ? v2
-                        : static_cast<int32_t>(
-                              0x1000 + reg_i * 0x111);
-                    if ((isLoad(op) || isStore(op)) &&
-                        reg_i == c.rs1)
-                        src += strFormat(
-                            "    la x%u, buf\n", reg_i);
-                    else
-                        src += strFormat("    li x%u, %d\n", reg_i,
-                                         v);
-                }
-                // rs1 == rs2 alias for memory ops would make the
-                // base a data value; keep whatever la/li produced.
-                src += "    " + insn_line + "\n";
-                // For branches, the not-taken path must be
-                // distinguishable from the taken one.
-                if (opInfo(op).type == InstrType::B)
-                    src += "    li x7, 999\n";
-                src += "done_path:\n";
-                src += "    la x1, signature\n";
-                for (unsigned reg_i = 5; reg_i <= 15; ++reg_i)
-                    src += strFormat("    sw x%u, %u(x1)\n", reg_i,
-                                     (reg_i - 5) * 4);
-                // Store buffer back for store-op comparison.
-                src += "    la x1, buf\n";
-                for (unsigned w = 0; w < 4; ++w) {
-                    src += strFormat("    lw x5, %u(x1)\n", w * 4);
-                    src += strFormat("    la x6, signature\n");
-                    src += strFormat("    sw x5, %u(x6)\n",
-                                     44 + w * 4);
-                }
-                src += "    ecall\n";
-                return src;
-            };
+            // Known register file; memory ops address the buffer
+            // through rs1 (an rs1 == rs2 alias keeps the base).
+            std::array<uint32_t, 16> regs{};
+            for (unsigned reg_i = 5; reg_i <= 15; ++reg_i)
+                regs[reg_i] = memory_op && reg_i == c.rs1 ? h.buf
+                    : reg_i == c.rs1 ? static_cast<uint32_t>(v1)
+                    : reg_i == c.rs2 ? static_cast<uint32_t>(v2)
+                    : 0x1000 + reg_i * 0x111;
 
-            AsmResult ref_asm = tryAssemble(harness(native, ""));
-            AsmResult exp_asm =
-                tryAssemble(harness(invocation, macro_def));
-            if (!ref_asm.ok || !exp_asm.ok)
+            // For branches, the not-taken path must be
+            // distinguishable from the taken one.
+            const bool branch = type == InstrType::B;
+            native.clear();
+            appendWord(native, in.raw);
+            if (branch)
+                appendWord(native, encodeI(Op::Addi, 7, 0, 999));
+            std::string src = macro_def + "    " +
+                rewriteLine(in, branch ? "done_path" : "") + "\n";
+            if (branch)
+                src += "    addi x7, zero, 999\n";
+            src += "done_path:\n";
+            const AsmResult exp_asm = tryAssemble(src);
+            // A body that emits data would overlap the harness's.
+            if (!exp_asm.ok || exp_asm.program.segments.size() != 1)
                 return false;
 
-            RefSim a;
-            a.reset(ref_asm.program);
-            RunResult ra_run = a.run(100'000);
-            RefSim b;
-            b.reset(exp_asm.program);
-            RunResult rb_run = b.run(100'000);
-            if (ra_run.reason != StopReason::Halted ||
-                rb_run.reason != StopReason::Halted)
+            if (!runTrial(native_sim, image, native, regs) ||
+                !runTrial(expanded_sim, image,
+                          exp_asm.program.segments.front().bytes, regs))
                 return false;
-            const uint32_t sig_a =
-                ref_asm.program.symbol("signature");
-            const uint32_t sig_b =
-                exp_asm.program.symbol("signature");
             for (uint32_t off = 0; off < 60; off += 4) {
-                if (a.memory().loadWord(sig_a + off) !=
-                    b.memory().loadWord(sig_b + off))
+                if (native_sim.memory().loadWord(h.signature + off) !=
+                    expanded_sim.memory().loadWord(h.signature + off))
                     return false;
             }
         }
@@ -297,7 +333,7 @@ Retargeter::synthesizeMacro(Op op)
         ++result.attempts;
         if (result.attempts > 10)
             break;
-        if (verifyCandidate(op, candidate)) {
+        if (verifyOn(nativeSim, expandedSim, op, candidate)) {
             result.body = candidate;
             result.verified = true;
             return result;
@@ -367,8 +403,16 @@ Retargeter::reconstruct(const Program &program,
         if (seg.base == program.textBase)
             continue;
         out += "    .data\n";
-        for (size_t i = 0; i < seg.bytes.size(); ++i)
-            out += strFormat("    .byte %u\n", seg.bytes[i]);
+        for (size_t i = 0; i < seg.bytes.size(); i += 16) {
+            const size_t end = std::min(seg.bytes.size(), i + 16);
+            out += "    .byte ";
+            for (size_t j = i; j < end; ++j) {
+                if (j != i)
+                    out += ", ";
+                out += std::to_string(seg.bytes[j]);
+            }
+            out += '\n';
+        }
     }
     return out;
 }

@@ -25,6 +25,7 @@
 
 #include "core/subset.hh"
 #include "retarget/macro_library.hh"
+#include "sim/refsim.hh"
 #include "util/rng.hh"
 #include "util/status.hh"
 
@@ -86,6 +87,15 @@ class Retargeter
      *  sw}; call before constructing a Retargeter from user input. */
     static Status validateTarget(const InstrSubset &target);
 
+    /**
+     * Simulate a candidate macro body for @p op against the native
+     * instruction over directed operand/alias cases (60 trials):
+     * both sides must halt with identical x5..x15 and identical
+     * contents of the scratch buffer loads/stores address. Pure: the
+     * verdict depends only on @p op and @p body.
+     */
+    static bool verifyMacro(Op op, const std::string &body);
+
     /** Synthesize + verify the macro for one instruction. */
     MacroExpansion synthesizeMacro(Op op);
 
@@ -101,10 +111,15 @@ class Retargeter
                                     const std::set<Op> &rewrite) const;
 
   private:
-    bool verifyCandidate(Op op, const std::string &body);
+    /** verifyMacro() on caller-owned simulators, so one retarget
+     *  reuses the same two arenas for every candidate. */
+    static bool verifyOn(RefSim &native, RefSim &expanded, Op op,
+                         const std::string &body);
 
     InstrSubset targetSubset;
     Rng rng;
+    RefSim nativeSim;
+    RefSim expandedSim;
 };
 
 } // namespace rissp

@@ -1,5 +1,6 @@
 #include "sim/memory.hh"
 
+#include <algorithm>
 #include <cstring>
 
 namespace rissp
@@ -41,6 +42,7 @@ Memory::reserveSpan(uint32_t base, uint32_t size)
 {
     denseBase = base;
     dense.assign(size, 0);
+    dirtyPages.assign((uint64_t{size} + kPageBytes - 1) / kPageBytes, 0);
     if (size == 0)
         return;
     // Migrate bytes already stored in the span through the page map.
@@ -61,6 +63,8 @@ Memory::reserveSpan(uint32_t base, uint32_t size)
         }
         std::memcpy(dense.data() + (lo - base),
                     it->second->data() + (lo - page_base), hi - lo);
+        markDirtyRange(static_cast<uint32_t>(lo - base),
+                       static_cast<size_t>(hi - lo));
         if (lo == page_base && hi == page_base + kPageBytes)
             it = pages.erase(it);
         else
@@ -69,11 +73,41 @@ Memory::reserveSpan(uint32_t base, uint32_t size)
 }
 
 void
+Memory::reset(uint32_t base, uint32_t size)
+{
+    if (base != denseBase || size != dense.size()) {
+        clear();
+        reserveSpan(base, size);
+        return;
+    }
+    pages.clear();
+    for (size_t p = 0; p < dirtyPages.size(); ++p) {
+        if (!dirtyPages[p])
+            continue;
+        const size_t lo = p * kPageBytes;
+        std::memset(dense.data() + lo, 0,
+                    std::min<size_t>(kPageBytes, dense.size() - lo));
+        dirtyPages[p] = 0;
+    }
+}
+
+void
+Memory::markDirtyRange(uint32_t off, size_t len)
+{
+    if (len == 0)
+        return;
+    const size_t last = (off + len - 1) / kPageBytes;
+    for (size_t p = off / kPageBytes; p <= last; ++p)
+        dirtyPages[p] = 1;
+}
+
+void
 Memory::storeBlock(uint32_t addr, const uint8_t *data, size_t len)
 {
     const uint32_t off = addr - denseBase;
     if (off < dense.size() && dense.size() - off >= len) {
         std::memcpy(dense.data() + off, data, len);
+        markDirtyRange(off, len);
         return;
     }
     for (size_t i = 0; i < len; ++i)

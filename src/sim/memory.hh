@@ -11,6 +11,10 @@
  *  - a sparse map of 4 KiB pages allocated on first touch, the
  *    fallback for anything outside the span.
  *
+ * Every write into the arena marks its (span-relative) 4 KiB page
+ * dirty, so reset() with an unchanged span re-zeroes only what the
+ * last run wrote instead of the whole arena.
+ *
  * Unwritten locations read as zero, matching an idealized
  * zero-initialized SRAM. Multi-byte accessors address each byte at
  * `addr + i` with 32-bit wrap-around; the simulators trap wrapping
@@ -73,6 +77,7 @@ class Memory
         const uint32_t off = addr - denseBase;
         if (off < dense.size()) {
             dense[off] = value;
+            markDirty(off, 1);
             return;
         }
         storeByteSparse(addr, value);
@@ -84,6 +89,7 @@ class Memory
         if (off < dense.size() && dense.size() - off >= 2) {
             dense[off] = static_cast<uint8_t>(value);
             dense[off + 1] = static_cast<uint8_t>(value >> 8);
+            markDirty(off, 2);
             return;
         }
         storeByte(addr, static_cast<uint8_t>(value));
@@ -98,6 +104,7 @@ class Memory
             dense[off + 1] = static_cast<uint8_t>(value >> 8);
             dense[off + 2] = static_cast<uint8_t>(value >> 16);
             dense[off + 3] = static_cast<uint8_t>(value >> 24);
+            markDirty(off, 4);
             return;
         }
         storeHalf(addr, static_cast<uint16_t>(value));
@@ -125,8 +132,18 @@ class Memory
     {
         pages.clear();
         dense.clear();
+        dirtyPages.clear();
         denseBase = 0;
     }
+
+    /**
+     * Empty the memory and back [base, base+size) with a zeroed dense
+     * arena: clear() then reserveSpan(), except that when the arena
+     * already has this geometry only the pages written since the last
+     * reset are re-zeroed. A simulator reused across runs then pays
+     * for the memory a run touched, not for the whole span.
+     */
+    void reset(uint32_t base, uint32_t size);
 
     /** Number of touched pages (for tests; the dense span is not a
      *  page). */
@@ -145,8 +162,19 @@ class Memory
     const Page *findPage(uint32_t addr) const;
     Page &touchPage(uint32_t addr);
 
+    /** Mark the arena pages under [off, off+len) dirty (len <= 4). */
+    void markDirty(uint32_t off, uint32_t len)
+    {
+        dirtyPages[off / kPageBytes] = 1;
+        dirtyPages[(off + len - 1) / kPageBytes] = 1;
+    }
+    /** Same for an arbitrary in-arena block. */
+    void markDirtyRange(uint32_t off, size_t len);
+
     uint32_t denseBase = 0;
     std::vector<uint8_t> dense;
+    /** One flag per kPageBytes of the arena: written since reset. */
+    std::vector<uint8_t> dirtyPages;
     std::unordered_map<uint32_t, std::unique_ptr<Page>> pages;
 };
 

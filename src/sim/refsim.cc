@@ -16,9 +16,8 @@ RefSim::reset(const Program &program)
 {
     pcReg = program.entry;
     regs.fill(0);
-    mem.clear();
     const AddrSpan span = program.denseSpan();
-    mem.reserveSpan(span.base, span.size);
+    mem.reset(span.base, span.size);
     program.load(mem);
     dec.build(program, mem);
     stopped = StopReason::Running;

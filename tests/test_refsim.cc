@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
 #include "assembler/assembler.hh"
+#include "core/rissp.hh"
 #include "sim/refsim.hh"
 #include "util/logging.hh"
 
@@ -349,6 +353,166 @@ TEST(Memory, ReserveSpanMigratesPageContents)
     mem.clear();
     EXPECT_EQ(mem.spanSize(), 0u);
     EXPECT_EQ(mem.loadWord(0x1000), 0u);
+}
+
+TEST(Memory, ResetSameSpanZeroesEverythingAWriteTouched)
+{
+    // Eight arena pages; each kind of write dirties its own pages.
+    constexpr uint32_t kBase = 0x1000, kSize = 0x8000;
+    Memory mem;
+    mem.reset(kBase, kSize);
+    mem.storeByte(kBase, 0x11);               // page 0: first byte
+    mem.storeWord(0x2FFE, 0xDEADBEEF);       // pages 1-2: straddles
+    const std::vector<uint8_t> blob(0x1800, 0xA5);
+    mem.storeBlock(0x4800, blob.data(), blob.size()); // pages 3-4
+    mem.storeHalf(kBase + kSize - 2, 0x2233); // page 7: last bytes
+    mem.storeWord(0x10000, 0x44556677);       // sparse, past the span
+    mem.storeByte(0x0FFF, 0x88);              // sparse, below it
+    EXPECT_EQ(mem.touchedPages(), 2u);
+
+    mem.reset(kBase, kSize);
+    const uint8_t image[] = {1, 2, 3, 4, 5};
+    mem.storeBlock(0x6000, image, sizeof image);
+    EXPECT_EQ(mem.spanBase(), kBase);
+    EXPECT_EQ(mem.spanSize(), kSize);
+    EXPECT_EQ(mem.touchedPages(), 0u);
+    for (uint32_t a = kBase; a < kBase + kSize; ++a) {
+        const uint8_t want = a >= 0x6000 && a < 0x6000 + sizeof image
+            ? image[a - 0x6000] : 0;
+        ASSERT_EQ(mem.loadByte(a), want) << std::hex << a;
+    }
+    EXPECT_EQ(mem.loadWord(0x10000), 0u);
+    EXPECT_EQ(mem.loadByte(0x0FFF), 0u);
+}
+
+TEST(Memory, ResetWithNewGeometryReallocates)
+{
+    Memory mem;
+    mem.reset(0x1000, 0x3000);
+    mem.storeWord(0x1000, 0xCAFEBABE);
+    mem.storeWord(0x3FFC, 0x12345678);
+    // Same size one page higher: no dirty page lines up any more.
+    mem.reset(0x2000, 0x3000);
+    EXPECT_EQ(mem.spanBase(), 0x2000u);
+    EXPECT_EQ(mem.spanSize(), 0x3000u);
+    for (uint32_t a = 0x1000; a < 0x5000; a += 4)
+        ASSERT_EQ(mem.loadWord(a), 0u) << std::hex << a;
+    // Different size at the old base.
+    mem.storeWord(0x2000, 0xFFFFFFFF);
+    mem.reset(0x2000, 0x1000);
+    EXPECT_EQ(mem.spanSize(), 0x1000u);
+    EXPECT_EQ(mem.loadWord(0x2000), 0u);
+}
+
+/** Two small programs sharing a span geometry: the first dirties the
+ *  stack, its data and the top of the span; the second reads those
+ *  addresses and must see zeros. */
+std::vector<Program>
+memoryReuseProgramPair()
+{
+    return {
+        assemble(R"(
+            .data
+        buf: .word 1, 2, 3, 4
+            .text
+        _start:
+            lui sp, 0x80
+            addi sp, sp, -16
+            li a0, -1
+            sw a0, 0(sp)
+            sw a0, 12(sp)
+            la a1, buf
+            sw a0, 4(a1)
+            li a2, 0x7FFFC
+            sw a0, 0(a2)
+            li a2, 0x40FFE
+            sh a0, 0(a2)
+            ecall
+        )"),
+        assemble(R"(
+            .text
+        _start:
+            lui sp, 0x80
+            lw a0, -16(sp)
+            lw a1, -4(sp)
+            add a0, a0, a1
+            li a2, 0x10004
+            lw a1, 0(a2)
+            add a0, a0, a1
+            li a2, 0x40FFC
+            lw a1, 0(a2)
+            add a0, a0, a1
+            li a2, 0x41000
+            lw a1, 0(a2)
+            add a0, a0, a1
+            li a3, 0xFFFF0000
+            sw a0, 0(a3)
+            addi a0, a0, 7
+            ecall
+        )"),
+    };
+}
+
+bool
+sameTrace(const std::vector<RetireEvent> &a,
+          const std::vector<RetireEvent> &b)
+{
+    auto key = [](const RetireEvent &e) {
+        return std::tie(e.order, e.pc, e.nextPc, e.raw, e.op, e.rs1,
+                        e.rs2, e.rs1Data, e.rs2Data, e.rd, e.rdData,
+                        e.memRead, e.memWrite, e.memAddr, e.memData,
+                        e.memBytes, e.trap, e.halt);
+    };
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [&](const RetireEvent &x, const RetireEvent &y) {
+                          return key(x) == key(y);
+                      });
+}
+
+/** Run every program of the pair twice on one reused simulator and
+ *  on a fresh one each time; results and RVFI streams must agree. */
+template <typename Sim, typename Options, typename MakeSim>
+void
+expectReuseMatchesFresh(MakeSim make_sim)
+{
+    const std::vector<Program> progs = memoryReuseProgramPair();
+    ASSERT_EQ(progs[0].denseSpan().base, progs[1].denseSpan().base);
+    ASSERT_EQ(progs[0].denseSpan().size, progs[1].denseSpan().size);
+    Sim reused = make_sim();
+    for (int round = 0; round < 2; ++round) {
+        for (const Program &p : progs) {
+            Sim fresh = make_sim();
+            fresh.reset(p);
+            reused.reset(p);
+            std::vector<RetireEvent> want, got;
+            Options opts;
+            opts.maxSteps = 1000;
+            opts.trace = &want;
+            const RunResult a = fresh.run(opts);
+            opts.trace = &got;
+            const RunResult b = reused.run(opts);
+            EXPECT_EQ(a.reason, StopReason::Halted);
+            EXPECT_EQ(b.reason, a.reason);
+            EXPECT_EQ(b.exitCode, a.exitCode);
+            EXPECT_EQ(b.instret, a.instret);
+            EXPECT_EQ(reused.outputWords(), fresh.outputWords());
+            EXPECT_TRUE(sameTrace(got, want)) << "round " << round;
+        }
+    }
+    // The reader saw only zeros where the writer had stored.
+    EXPECT_EQ(reused.outputWords(), std::vector<uint32_t>{0});
+}
+
+TEST(RefSim, ReusedSimulatorMatchesFreshOne)
+{
+    expectReuseMatchesFresh<RefSim, SimRunOptions>(
+        [] { return RefSim(); });
+}
+
+TEST(Rissp, ReusedSimulatorMatchesFreshOne)
+{
+    expectReuseMatchesFresh<Rissp, RisspRunOptions>(
+        [] { return Rissp(InstrSubset::fullRv32e(), "reuse"); });
 }
 
 TEST(RefSim, DenseSpanCoversProgramAndStack)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "assembler/assembler.hh"
 #include "compiler/driver.hh"
 #include "core/rissp.hh"
 #include "retarget/retargeter.hh"
@@ -80,6 +81,74 @@ TEST(Retargeter, BuggyCandidatesAreRejected)
     }
     EXPECT_TRUE(saw_retry)
         << "generator never produced a rejected candidate";
+}
+
+TEST(Retargeter, VerifyMacroPinsLibraryVerdicts)
+{
+    // Every hallucinated body in the library is rejected and every
+    // sound derivation accepted: 13 and 25 bodies.
+    unsigned rejected = 0, accepted = 0;
+    for (size_t i = 0; i < kNumOps; ++i) {
+        const Op op = static_cast<Op>(i);
+        if (!canRetarget(op))
+            continue;
+        for (const std::string &body : buggyMacroBodies(op)) {
+            EXPECT_FALSE(Retargeter::verifyMacro(op, body))
+                << opName(op) << ":\n" << body;
+            ++rejected;
+        }
+        EXPECT_TRUE(Retargeter::verifyMacro(op, correctMacroBody(op)))
+            << opName(op);
+        ++accepted;
+    }
+    EXPECT_EQ(rejected, 13u);
+    EXPECT_EQ(accepted, 25u);
+}
+
+TEST(Retargeter, VerifyMacroRejectsDisciplineViolations)
+{
+    // A body that uses a5 as unsaved scratch: x5..x15 outside the
+    // operands must survive the macro.
+    EXPECT_FALSE(Retargeter::verifyMacro(Op::Sub, R"(
+    xori x15, \rs2, -1
+    addi x15, x15, 1
+    add \rd, \rs1, x15
+)"));
+    // A body that writes rd before reading rs1: wrong whenever the
+    // rewritten instruction has rd == rs1.
+    EXPECT_FALSE(Retargeter::verifyMacro(Op::Sub, R"(
+    xori \rd, \rs2, -1
+    addi \rd, \rd, 1
+    add \rd, \rs1, \rd
+)"));
+    // A load that stores into the buffer it reads from.
+    EXPECT_FALSE(Retargeter::verifyMacro(
+        Op::Lbu, correctMacroBody(Op::Lbu) + "    sw zero, 0(\\base)\n"));
+    // A body that does not assemble.
+    EXPECT_FALSE(Retargeter::verifyMacro(Op::Sub, "    sub \\rd\n"));
+}
+
+TEST(Retargeter, ReconstructCarriesDataByteExact)
+{
+    const char *src = R"(
+        int table[37] = {5, -3, 12, 0, 7, -8, 100, 42, 1, 2, 3};
+        int main(void) { return table[3] + table[10]; }
+    )";
+    minic::CompileResult cr = minic::compile(src,
+                                             minic::OptLevel::O2);
+    Retargeter rt(minimal());
+    Result<std::string> text = rt.reconstruct(cr.program, {});
+    ASSERT_TRUE(text.isOk()) << text.status().message();
+    AsmResult back = tryAssemble(text.value());
+    ASSERT_TRUE(back.ok) << back.error;
+    ASSERT_EQ(back.program.segments.size(),
+              cr.program.segments.size());
+    for (size_t i = 0; i < back.program.segments.size(); ++i) {
+        EXPECT_EQ(back.program.segments[i].base,
+                  cr.program.segments[i].base);
+        EXPECT_EQ(back.program.segments[i].bytes,
+                  cr.program.segments[i].bytes);
+    }
 }
 
 TEST(Retargeter, RejectsTargetWithoutKernelOps)
