@@ -7,9 +7,9 @@
  * The paper's pitch is that RISSPs are cheap enough to generate per
  * application; that only scales if generating one is a single
  * well-specified call rather than hand-stitched glue. Every client —
- * the `risspgen` verbs, `rissp-explore`, the examples, a future
- * server — sends one of five typed requests and gets back a
- * stage-granular response:
+ * the `risspgen` verbs, `rissp-explore`, the examples, the
+ * `risspgen serve` daemon — sends one of five typed requests and
+ * gets back a stage-granular response:
  *
  *  - each stage struct carries a `run` flag and its own data, so
  *    partial results survive downstream failures (a trapped run
@@ -34,7 +34,6 @@
 #ifndef RISSP_FLOW_FLOW_HH
 #define RISSP_FLOW_FLOW_HH
 
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -323,15 +322,14 @@ struct ServiceOptions
  *  Requests can be served three ways, all against the same shared
  *  `StageCaches`:
  *   - the synchronous verbs below, on the caller's thread;
- *   - `submitAsync`, which decomposes the request into pipeline
- *     stages (compile → exec → cosim; compile → app synth ∥
- *     baselines → P&R; ...) on the service's work-stealing
- *     `exec::Scheduler` and returns a future;
+ *   - `submitAsync`, which runs the same verb as one task on the
+ *     service's work-stealing `exec::Scheduler` and returns a
+ *     future;
  *   - `runBatch`, which submits a mixed batch and collects the
  *     responses in request order.
- *  Both paths run the *same* stage functions, so a batched response
- *  is byte-identical to its synchronous twin; identical in-flight
- *  work is deduplicated by the promise-backed cache entries (ten
+ *  Every path calls the same verb function, so a batched response is
+ *  byte-identical to its synchronous twin; identical in-flight work
+ *  is deduplicated by the promise-backed cache entries (ten
  *  concurrent requests for the same subset compile — and sweep — it
  *  once). */
 class FlowService
@@ -368,24 +366,12 @@ class FlowService
     /** Serve any request synchronously on the caller's thread. */
     Response dispatch(const Request &request) const;
 
-    /** Submit a request onto the shared scheduler, decomposed into
-     *  its pipeline stages; returns immediately. The future carries
-     *  the same response the synchronous verb would produce (errors
-     *  stay values — the future only throws on an internal stage
-     *  panic-equivalent exception). */
+    /** Submit a request onto the shared scheduler as one task;
+     *  returns immediately. The future carries the same response the
+     *  synchronous verb would produce (errors stay values — the
+     *  future only throws on an internal panic-equivalent
+     *  exception). */
     std::future<Response> submitAsync(Request request) const;
-
-    /** The callback-based twin of submitAsync, for callers that hand
-     *  completions back to an event loop (the serve reactor) instead
-     *  of blocking a thread on a future: the same stage
-     *  decomposition on the same scheduler, with @p done invoked
-     *  exactly once, on the worker that ran the final stage. Errors
-     *  stay values inside the response; an internal stage
-     *  panic-equivalent exception is folded into a response with
-     *  `ErrorCode::Internal` status rather than thrown (there is no
-     *  future to carry it). */
-    void dispatchAsync(Request request,
-                       std::function<void(Response)> done) const;
 
     /** Serve a mixed batch concurrently; blocks until every request
      *  has settled and returns responses in request order. */
@@ -401,38 +387,10 @@ class FlowService
         return stageCaches;
     }
 
-    /** The service's stage scheduler (started on first use). */
+    /** The service's request scheduler (started on first use). */
     exec::Scheduler &scheduler() const;
 
   private:
-    // Per-verb pipeline state shared by a verb's stage functions;
-    // the synchronous verbs call the stages in order, submitAsync
-    // wires the same stages into a scheduler dependency graph.
-    struct RunJob;
-    struct SynthJob;
-    struct RetargetJob;
-
-    void runCompileStage(RunJob &job) const;
-    void runExecStage(RunJob &job) const;
-    void runCosimStage(RunJob &job) const;
-
-    void synthSubsetStage(SynthJob &job) const;
-    void synthAppStage(SynthJob &job) const;
-    void synthBaselineStage(SynthJob &job) const;
-    void synthFinishStage(SynthJob &job) const;
-
-    void retargetCompileStage(RetargetJob &job) const;
-    void retargetRewriteStage(RetargetJob &job) const;
-    void retargetEquivalenceStage(RetargetJob &job) const;
-
-    /** The one async submission path: decompose @p request into its
-     *  stage graph on the shared scheduler; exactly one of the two
-     *  callbacks fires when the request settles. submitAsync and
-     *  dispatchAsync are both thin adapters over this. */
-    void submitStages(
-        Request request, std::function<void(Response)> on_done,
-        std::function<void(std::exception_ptr)> on_error) const;
-
     /** Resolve + compile a source, memoized in the shared cache. */
     Result<minic::CompileResult>
     compileSource(const SourceRef &source, minic::OptLevel opt,

@@ -2,20 +2,16 @@
  * @file
  * FlowService implementation.
  *
- * Every multi-step verb is decomposed into *stage functions* over a
- * per-request job struct: the synchronous verb calls its stages in
- * order on the caller's thread, and `submitAsync` submits the same
- * stages to the shared `exec::Scheduler` with dependency edges — one
- * implementation, two execution disciplines, provably identical
- * responses. Each stage guards on the job's accumulated status, so a
- * failure short-circuits the remaining stages exactly like the old
- * early returns did, while every stage that did complete stays in
- * the response.
+ * Each verb is one straight-line function that fills its response
+ * stage by stage and returns early on the first failure, so every
+ * stage that did complete stays in the response. The async and batch
+ * paths run the same function as one scheduler task per request:
+ * the promise-backed `StageCaches` dedupe identical in-flight work
+ * whatever the task shape, so splitting a request into µs-scale
+ * stage tasks would only add hand-offs.
  */
 
 #include "flow/flow.hh"
-
-#include <atomic>
 
 #include "core/rissp.hh"
 #include "serv/serv_model.hh"
@@ -40,6 +36,25 @@ fillCompileStage(CompileStage &stage,
     stage.textBytes = compiled.program.textSize;
     stage.helpers.assign(compiled.helpers.begin(),
                          compiled.helpers.end());
+}
+
+/** Execute @p program on a RISSP implementing @p subset. */
+ExecStage
+execute(const InstrSubset &subset, const Program &program,
+        uint64_t max_steps)
+{
+    Rissp chip(subset, "RISSP");
+    chip.reset(program);
+    const RunResult run = chip.run(max_steps);
+    ExecStage exec;
+    exec.run = true;
+    exec.reason = run.reason;
+    exec.stopPc = run.stopPc;
+    exec.cycles = run.instret;
+    exec.exitCode = run.exitCode;
+    exec.outputWords = chip.outputWords();
+    exec.outputText = chip.outputText();
+    return exec;
 }
 
 } // namespace
@@ -134,300 +149,181 @@ FlowService::characterize(const CharacterizeRequest &request) const
 
 // ------------------------------------------------------------ run
 
-struct FlowService::RunJob
+RunResponse
+FlowService::run(const RunRequest &request) const
 {
-    RunRequest request;
     RunResponse response;
-    std::optional<Result<minic::CompileResult>> compiled;
-};
-
-void
-FlowService::runCompileStage(RunJob &job) const
-{
-    job.compiled.emplace(
-        compileSource(job.request.source, job.request.opt));
-    if (!*job.compiled) {
-        job.response.status = job.compiled->status();
-        return;
+    const Result<minic::CompileResult> compiled =
+        compileSource(request.source, request.opt);
+    if (!compiled) {
+        response.status = compiled.status();
+        return response;
     }
-    fillCompileStage(job.response.compile, job.compiled->value(),
-                     job.request.opt);
-    job.response.subset.run = true;
-    job.response.subset.subset = job.request.subsetOverride
-        ? *job.request.subsetOverride
-        : InstrSubset::fromProgram(job.compiled->value().program);
-}
+    const Program &program = compiled.value().program;
+    fillCompileStage(response.compile, compiled.value(), request.opt);
+    response.subset.run = true;
+    response.subset.subset = request.subsetOverride
+        ? *request.subsetOverride
+        : InstrSubset::fromProgram(program);
 
-void
-FlowService::runExecStage(RunJob &job) const
-{
-    if (!job.response.status.isOk())
-        return;
-    const Program &program = job.compiled->value().program;
-    Rissp chip(job.response.subset.subset, "RISSP");
-    chip.reset(program);
-    const RunResult run = chip.run(job.request.maxSteps);
-    ExecStage &exec = job.response.exec;
-    exec.run = true;
-    exec.reason = run.reason;
-    exec.stopPc = run.stopPc;
-    exec.cycles = run.instret;
-    exec.exitCode = run.exitCode;
-    exec.outputWords = chip.outputWords();
-    exec.outputText = chip.outputText();
-
-    switch (run.reason) {
-      case StopReason::Trapped:
-        job.response.status = Status::errorf(
+    response.exec =
+        execute(response.subset.subset, program, request.maxSteps);
+    const ExecStage &exec = response.exec;
+    if (exec.reason == StopReason::Trapped) {
+        response.status = Status::errorf(
             ErrorCode::Trap,
             "trapped at pc=0x%x: instruction outside the subset",
-            run.stopPc);
-        break;
-      case StopReason::StepLimit:
-        job.response.status = Status::errorf(
+            exec.stopPc);
+        return response;
+    }
+    if (exec.reason == StopReason::StepLimit) {
+        response.status = Status::errorf(
             ErrorCode::StepLimit,
             "step limit of %llu cycles reached at pc=0x%x",
-            static_cast<unsigned long long>(job.request.maxSteps),
-            run.stopPc);
-        break;
-      default:
-        break;
+            static_cast<unsigned long long>(request.maxSteps),
+            exec.stopPc);
+        return response;
     }
-}
+    if (!request.verify)
+        return response;
 
-void
-FlowService::runCosimStage(RunJob &job) const
-{
-    // Skips after any upstream failure (including a trap or a step
-    // limit in the exec stage) and when verification wasn't asked
-    // for — the same paths the synchronous early returns took.
-    if (!job.response.status.isOk() || !job.request.verify)
-        return;
     // cosimulate() re-executes DUT and reference lock-step from
     // reset; a verified run therefore executes the program twice,
     // like the Figure 4 flow it mirrors. Deriving the exec stage
     // from the cosim pass would halve that.
     CosimOptions options;
-    options.maxSteps = job.request.maxSteps;
-    options.fault = job.request.injectFault
-        ? &*job.request.injectFault : nullptr;
+    options.maxSteps = request.maxSteps;
+    options.fault = request.injectFault ? &*request.injectFault
+                                        : nullptr;
     const CosimReport cosim =
-        cosimulate(job.compiled->value().program,
-                   job.response.subset.subset, options);
-    CosimStage &stage = job.response.cosim;
+        cosimulate(program, response.subset.subset, options);
+    CosimStage &stage = response.cosim;
     stage.run = true;
     stage.passed = cosim.passed;
     stage.instret = cosim.instret;
     stage.rvfiEventsChecked = cosim.monitor.eventsChecked;
     stage.firstDivergence = cosim.firstDivergence;
     if (!cosim.passed) {
-        job.response.status = Status::error(
+        response.status = Status::error(
             ErrorCode::CosimMismatch,
             "co-simulation diverged: " + cosim.firstDivergence);
     }
-}
-
-RunResponse
-FlowService::run(const RunRequest &request) const
-{
-    RunJob job;
-    job.request = request;
-    runCompileStage(job);
-    runExecStage(job);
-    runCosimStage(job);
-    return std::move(job.response);
+    return response;
 }
 
 // ---------------------------------------------------------- synth
 
-struct FlowService::SynthJob
-{
-    SynthRequest request;
-    SynthResponse response;
-    /** Raw sweep results; applied to the response in deterministic
-     *  order by the finish stage, so the app and baseline sweeps
-     *  may run on different workers. */
-    std::optional<Result<SynthReport>> app;
-    std::optional<Result<SynthReport>> fullIsa;
-    std::optional<SynthReport> serv;
-};
-
-void
-FlowService::synthSubsetStage(SynthJob &job) const
-{
-    job.response.subset.run = true;
-    if (job.request.subsetOverride) {
-        job.response.subset.subset = *job.request.subsetOverride;
-        return;
-    }
-    const Result<minic::CompileResult> compiled =
-        compileSource(job.request.source, job.request.opt);
-    if (!compiled) {
-        job.response.status = compiled.status();
-        return;
-    }
-    fillCompileStage(job.response.compile, compiled.value(),
-                     job.request.opt);
-    job.response.subset.subset =
-        InstrSubset::fromProgram(compiled.value().program);
-}
-
-void
-FlowService::synthAppStage(SynthJob &job) const
-{
-    if (!job.response.status.isOk())
-        return;
-    const Technology &tech = job.request.tech.tech;
-    const InstrSubset &subset = job.response.subset.subset;
-    job.app = stageCaches->synthReportLookup(
-        synthReportKey(job.request.name,
-                       explore::subsetFingerprint(subset),
-                       explore::techFingerprint(tech)),
-        [&] {
-            return SynthesisModel(tech).trySynthesize(
-                subset, job.request.name);
-        });
-}
-
-void
-FlowService::synthBaselineStage(SynthJob &job) const
-{
-    // Runs concurrently with the app sweep under submitAsync; it
-    // only reads the tech and writes its own job slots, and the
-    // finish stage discards its results if the app sweep failed —
-    // matching the synchronous "baselines only after the app"
-    // response shape exactly.
-    if (!job.response.status.isOk() || !job.request.baselines)
-        return;
-    const Technology &tech = job.request.tech.tech;
-    const InstrSubset full = InstrSubset::fullRv32e();
-    job.fullIsa = stageCaches->synthReportLookup(
-        synthReportKey("RISSP-RV32E",
-                       explore::subsetFingerprint(full),
-                       explore::techFingerprint(tech)),
-        [&] {
-            return SynthesisModel(tech).trySynthesize(full,
-                                                      "RISSP-RV32E");
-        });
-    if (*job.fullIsa)
-        job.serv = ServModel(tech).synthReport();
-}
-
-void
-FlowService::synthFinishStage(SynthJob &job) const
-{
-    if (!job.response.status.isOk())
-        return;
-    if (!*job.app) {
-        job.response.status = job.app->status();
-        return;
-    }
-    SynthStage &synth = job.response.synth;
-    synth.run = true;
-    synth.tech = job.request.tech.tech.name;
-    // The job's results are detached copies of the cache entries
-    // and dead after this stage: move the sweep vectors out.
-    synth.app = job.app->take();
-
-    if (job.request.baselines) {
-        if (!*job.fullIsa) {
-            // The corner is so hostile even the baseline fails; the
-            // app numbers above still stand.
-            job.response.status = job.fullIsa->status();
-            return;
-        }
-        synth.baselinesRun = true;
-        synth.fullIsa = job.fullIsa->take();
-        synth.serv = std::move(*job.serv);
-    }
-
-    if (job.request.physical) {
-        const PhysicalModel phys(job.request.tech.tech);
-        job.response.phys.run = true;
-        job.response.phys.report =
-            phys.implement(synth.app, job.request.rfStyle);
-    }
-}
-
 SynthResponse
 FlowService::synth(const SynthRequest &request) const
 {
-    SynthJob job;
-    job.request = request;
-    synthSubsetStage(job);
-    synthAppStage(job);
-    // The async graph runs the baseline sweep concurrently with the
-    // app sweep and lets the finish stage discard it on app failure;
-    // here the app outcome is already known, so a failed app skips
-    // the baselines entirely (the old early-return behavior).
-    if (!job.app || job.app->isOk())
-        synthBaselineStage(job);
-    synthFinishStage(job);
-    return std::move(job.response);
+    SynthResponse response;
+    response.subset.run = true;
+    if (request.subsetOverride) {
+        response.subset.subset = *request.subsetOverride;
+    } else {
+        const Result<minic::CompileResult> compiled =
+            compileSource(request.source, request.opt);
+        if (!compiled) {
+            response.status = compiled.status();
+            return response;
+        }
+        fillCompileStage(response.compile, compiled.value(),
+                         request.opt);
+        response.subset.subset =
+            InstrSubset::fromProgram(compiled.value().program);
+    }
+
+    const Technology &tech = request.tech.tech;
+    const InstrSubset &subset = response.subset.subset;
+    Result<SynthReport> app = stageCaches->synthReportLookup(
+        synthReportKey(request.name,
+                       explore::subsetFingerprint(subset),
+                       explore::techFingerprint(tech)),
+        [&] {
+            return SynthesisModel(tech).trySynthesize(subset,
+                                                      request.name);
+        });
+    if (!app) {
+        response.status = app.status();
+        return response;
+    }
+    SynthStage &synth = response.synth;
+    synth.run = true;
+    synth.tech = tech.name;
+    // The lookup returns a detached copy of the cache entry: move
+    // the sweep vectors out.
+    synth.app = app.take();
+
+    if (request.baselines) {
+        const InstrSubset full = InstrSubset::fullRv32e();
+        Result<SynthReport> fullIsa = stageCaches->synthReportLookup(
+            synthReportKey("RISSP-RV32E",
+                           explore::subsetFingerprint(full),
+                           explore::techFingerprint(tech)),
+            [&] {
+                return SynthesisModel(tech).trySynthesize(
+                    full, "RISSP-RV32E");
+            });
+        if (!fullIsa) {
+            // The corner is so hostile even the baseline fails; the
+            // app numbers above still stand.
+            response.status = fullIsa.status();
+            return response;
+        }
+        synth.baselinesRun = true;
+        synth.fullIsa = fullIsa.take();
+        synth.serv = ServModel(tech).synthReport();
+    }
+
+    if (request.physical) {
+        response.phys.run = true;
+        response.phys.report =
+            PhysicalModel(tech).implement(synth.app, request.rfStyle);
+    }
+    return response;
 }
 
 // ------------------------------------------------------- retarget
 
-struct FlowService::RetargetJob
+RetargetResponse
+FlowService::retarget(const RetargetRequest &request) const
 {
-    RetargetRequest request;
     RetargetResponse response;
-    std::optional<Result<minic::CompileResult>> compiled;
-    InstrSubset target;
-};
-
-void
-FlowService::retargetCompileStage(RetargetJob &job) const
-{
-    job.compiled.emplace(
-        compileSource(job.request.source, job.request.opt));
-    if (!*job.compiled) {
-        job.response.status = job.compiled->status();
-        return;
+    const Result<minic::CompileResult> compiled =
+        compileSource(request.source, request.opt);
+    if (!compiled) {
+        response.status = compiled.status();
+        return response;
     }
-    fillCompileStage(job.response.compile, job.compiled->value(),
-                     job.request.opt);
-}
+    const Program &program = compiled.value().program;
+    fillCompileStage(response.compile, compiled.value(), request.opt);
 
-void
-FlowService::retargetRewriteStage(RetargetJob &job) const
-{
-    if (!job.response.status.isOk())
-        return;
-    job.target = job.request.target
-        ? *job.request.target : Retargeter::minimalSubset();
-    const Status valid = Retargeter::validateTarget(job.target);
+    const InstrSubset target =
+        request.target ? *request.target : Retargeter::minimalSubset();
+    const Status valid = Retargeter::validateTarget(target);
     if (!valid) {
-        job.response.status = valid;
-        return;
+        response.status = valid;
+        return response;
     }
-    Retargeter tool(job.target);
-    job.response.retarget.run = true;
-    job.response.retarget.result =
-        tool.retarget(job.compiled->value().program);
-    const RetargetResult &result = job.response.retarget.result;
+    response.retarget.run = true;
+    response.retarget.result = Retargeter(target).retarget(program);
+    const RetargetResult &result = response.retarget.result;
     if (!result.ok) {
-        job.response.status = Status::error(ErrorCode::RetargetError,
-                                            result.error);
+        response.status =
+            Status::error(ErrorCode::RetargetError, result.error);
+        return response;
     }
-}
+    if (!request.verifyEquivalence)
+        return response;
 
-void
-FlowService::retargetEquivalenceStage(RetargetJob &job) const
-{
-    if (!job.response.status.isOk() ||
-        !job.request.verifyEquivalence) {
-        return;
-    }
-    const Program &program = job.compiled->value().program;
     RefSim golden;
     golden.reset(program);
-    const RunResult want = golden.run(job.request.maxSteps);
-    Rissp chip(job.target, "retarget-dut");
-    chip.reset(job.response.retarget.result.program);
-    const RunResult got = chip.run(job.request.maxSteps);
+    const RunResult want = golden.run(request.maxSteps);
+    Rissp chip(target, "retarget-dut");
+    chip.reset(result.program);
+    const RunResult got = chip.run(request.maxSteps);
 
-    EquivalenceStage &eq = job.response.equivalence;
+    EquivalenceStage &eq = response.equivalence;
     eq.run = true;
     eq.refReason = want.reason;
     eq.dutReason = got.reason;
@@ -437,21 +333,11 @@ FlowService::retargetEquivalenceStage(RetargetJob &job) const
         want.exitCode == got.exitCode &&
         golden.outputWords() == chip.outputWords();
     if (!eq.matched) {
-        job.response.status = Status::error(
+        response.status = Status::error(
             ErrorCode::CosimMismatch,
             "retargeted program diverges from the original");
     }
-}
-
-RetargetResponse
-FlowService::retarget(const RetargetRequest &request) const
-{
-    RetargetJob job;
-    job.request = request;
-    retargetCompileStage(job);
-    retargetRewriteStage(job);
-    retargetEquivalenceStage(job);
-    return std::move(job.response);
+    return response;
 }
 
 // -------------------------------------------------------- explore
@@ -505,257 +391,21 @@ FlowService::dispatch(const Request &request) const
         request);
 }
 
-namespace
-{
-
-/** Shared state of one in-flight async request: the job, the
- *  settlement callbacks, and a once-latch so that whichever stage
- *  settles the request first — the finish stage or a throwing
- *  stage — is the only caller of a callback. The callbacks are how
- *  both async front ends share this machinery: submitAsync plugs a
- *  promise in, dispatchAsync a completion handler. */
-template <typename Job>
-struct AsyncState
-{
-    Job job;
-    std::function<void(Response)> onDone;
-    std::function<void(std::exception_ptr)> onError;
-    std::atomic<bool> settled{false};
-
-    void
-    finish()
-    {
-        if (!settled.exchange(true))
-            onDone(Response(std::move(job.response)));
-    }
-
-    /** Called from a stage's catch block; the exception also
-     *  propagates to the scheduler so dependent stages are
-     *  skipped. */
-    void
-    fail()
-    {
-        if (!settled.exchange(true))
-            onError(std::current_exception());
-    }
-};
-
-/** Wrap a stage so an escaping exception settles the request's
- *  future (errors-as-values never throw; this guards internal
- *  bugs from turning into a never-ready future). */
-template <typename Job>
-exec::TaskFn
-guarded(std::shared_ptr<AsyncState<Job>> state,
-        void (FlowService::*stage)(Job &) const,
-        const FlowService *service)
-{
-    return [state, stage, service] {
-        try {
-            (service->*stage)(state->job);
-        } catch (...) {
-            state->fail();
-            throw;
-        }
-    };
-}
-
-/** A default-constructed response of the same alternative as the
- *  request at @p request_index, carrying @p status — how an internal
- *  stage panic is folded into the errors-as-values contract when
- *  there is no future to carry the exception. */
-Response
-internalErrorResponse(size_t request_index, Status status)
-{
-    switch (request_index) {
-      case 0: {
-        CharacterizeResponse response;
-        response.status = std::move(status);
-        return response;
-      }
-      case 1: {
-        RunResponse response;
-        response.status = std::move(status);
-        return response;
-      }
-      case 2: {
-        SynthResponse response;
-        response.status = std::move(status);
-        return response;
-      }
-      case 3: {
-        RetargetResponse response;
-        response.status = std::move(status);
-        return response;
-      }
-      default: {
-        ExploreResponse response;
-        response.status = std::move(status);
-        return response;
-      }
-    }
-}
-
-Status
-statusFromException(const std::exception_ptr &error)
-{
-    try {
-        std::rethrow_exception(error);
-    } catch (const std::exception &ex) {
-        return Status::errorf(ErrorCode::Internal,
-                              "internal error: %s", ex.what());
-    } catch (...) {
-        return Status::error(ErrorCode::Internal, "internal error");
-    }
-}
-
-} // namespace
-
-void
-FlowService::submitStages(
-    Request request, std::function<void(Response)> on_done,
-    std::function<void(std::exception_ptr)> on_error) const
-{
-    exec::Scheduler &sched = scheduler();
-
-    // Single-stage requests (characterize resolves in one step;
-    // explore parallelizes internally through its own graph) run as
-    // one task; the multi-stage verbs decompose so the scheduler can
-    // interleave their stages with other requests' — and so two
-    // requests hitting the same promise-backed cache entry share the
-    // computation instead of queueing it twice.
-    std::visit(
-        [this, &sched, &on_done, &on_error](auto &&req) {
-            using R = std::decay_t<decltype(req)>;
-            if constexpr (std::is_same_v<R, RunRequest>) {
-                auto state = std::make_shared<AsyncState<RunJob>>();
-                state->job.request = std::move(req);
-                state->onDone = std::move(on_done);
-                state->onError = std::move(on_error);
-                auto compile = sched.submit(
-                    guarded(state, &FlowService::runCompileStage,
-                            this),
-                    {}, "run:compile");
-                auto exec = sched.submit(
-                    guarded(state, &FlowService::runExecStage, this),
-                    {compile}, "run:exec");
-                sched.submit(
-                    [this, state] {
-                        try {
-                            runCosimStage(state->job);
-                            state->finish();
-                        } catch (...) {
-                            state->fail();
-                            throw;
-                        }
-                    },
-                    {exec}, "run:cosim");
-            } else if constexpr (std::is_same_v<R, SynthRequest>) {
-                auto state =
-                    std::make_shared<AsyncState<SynthJob>>();
-                state->job.request = std::move(req);
-                state->onDone = std::move(on_done);
-                state->onError = std::move(on_error);
-                auto subset = sched.submit(
-                    guarded(state, &FlowService::synthSubsetStage,
-                            this),
-                    {}, "synth:subset");
-                auto app = sched.submit(
-                    guarded(state, &FlowService::synthAppStage,
-                            this),
-                    {subset}, "synth:app");
-                auto baselines = sched.submit(
-                    guarded(state, &FlowService::synthBaselineStage,
-                            this),
-                    {subset}, "synth:baselines");
-                sched.submit(
-                    [this, state] {
-                        try {
-                            synthFinishStage(state->job);
-                            state->finish();
-                        } catch (...) {
-                            state->fail();
-                            throw;
-                        }
-                    },
-                    {app, baselines}, "synth:finish");
-            } else if constexpr (std::is_same_v<R,
-                                                RetargetRequest>) {
-                auto state =
-                    std::make_shared<AsyncState<RetargetJob>>();
-                state->job.request = std::move(req);
-                state->onDone = std::move(on_done);
-                state->onError = std::move(on_error);
-                auto compile = sched.submit(
-                    guarded(state, &FlowService::retargetCompileStage,
-                            this),
-                    {}, "retarget:compile");
-                auto rewrite = sched.submit(
-                    guarded(state, &FlowService::retargetRewriteStage,
-                            this),
-                    {compile}, "retarget:rewrite");
-                sched.submit(
-                    [this, state] {
-                        try {
-                            retargetEquivalenceStage(state->job);
-                            state->finish();
-                        } catch (...) {
-                            state->fail();
-                            throw;
-                        }
-                    },
-                    {rewrite}, "retarget:equivalence");
-            } else {
-                // Characterize / Explore: one task.
-                sched.submit(
-                    [this, req = std::move(req),
-                     done = std::move(on_done),
-                     fail = std::move(on_error)] {
-                        try {
-                            done(dispatch(req));
-                        } catch (...) {
-                            fail(std::current_exception());
-                            throw;
-                        }
-                    },
-                    {}, "flow:request");
-            }
-        },
-        std::move(request));
-}
-
 std::future<Response>
 FlowService::submitAsync(Request request) const
 {
     auto promise = std::make_shared<std::promise<Response>>();
     std::future<Response> future = promise->get_future();
-    submitStages(
-        std::move(request),
-        [promise](Response response) {
-            promise->set_value(std::move(response));
+    scheduler().submit(
+        [this, promise, request = std::move(request)] {
+            try {
+                promise->set_value(dispatch(request));
+            } catch (...) {
+                promise->set_exception(std::current_exception());
+            }
         },
-        [promise](std::exception_ptr error) {
-            promise->set_exception(std::move(error));
-        });
+        {}, "flow:request");
     return future;
-}
-
-void
-FlowService::dispatchAsync(Request request,
-                           std::function<void(Response)> done) const
-{
-    const size_t which = request.index();
-    auto shared =
-        std::make_shared<std::function<void(Response)>>(
-            std::move(done));
-    submitStages(
-        std::move(request),
-        [shared](Response response) {
-            (*shared)(std::move(response));
-        },
-        [shared, which](std::exception_ptr error) {
-            (*shared)(internalErrorResponse(
-                which, statusFromException(error)));
-        });
 }
 
 std::vector<Response>

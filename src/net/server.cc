@@ -7,12 +7,11 @@
  * enforced by the `blocking-socket-io` lint check).
  *
  * Thread model: one reactor thread owns every connection fd and runs
- * the routing handler; API verbs are submitted to the FlowService's
- * scheduler as a parse task followed by the verb's stage graph
- * (flow::FlowService::dispatchAsync), and the completion callback
- * hands the finished response bytes back to the reactor from
- * whichever worker ran the final stage. Counters the handler and the
- * workers both touch are atomics.
+ * the routing handler; each API request becomes exactly one task on
+ * the FlowService's scheduler, which parses the body, runs the
+ * synchronous verb (flow::FlowService::dispatch) and hands the
+ * finished response bytes back to the reactor. Counters the handler
+ * and the workers both touch are atomics.
  */
 
 #include "net/server.hh"
@@ -222,8 +221,8 @@ HttpServer::waitUntilStopped()
     if (reactorThread.joinable())
         reactorThread.join();
     // The loop only exits after handing back every dispatched
-    // response, but a completion callback may still be returning on
-    // its worker; don't let the destructor free the reactor under
+    // response, but a dispatched task may still be returning on its
+    // worker; don't let the destructor free the reactor under
     // it.
     while (inflightDispatches.load(std::memory_order_acquire) != 0)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -378,50 +377,50 @@ HttpServer::dispatchRequest(Reactor::ConnToken token, Verb verb,
     inflightDispatches.fetch_add(1, std::memory_order_acq_rel);
     service.scheduler().submit(
         [this, token, verb, body = std::move(body), keep_alive] {
-            // Parse off the reactor thread: a 4 MB explore plan
-            // must not stall a thousand other connections.
-            Result<flow::Request> request =
-                requestFromBody(verb, body);
-            if (!request) {
-                reactor->complete(
-                    token,
-                    errorResponse(httpStatusFor(request.status()),
-                                  request.status(), keep_alive),
-                    keep_alive);
-                inflightDispatches.fetch_sub(
-                    1, std::memory_order_acq_rel);
-                return;
-            }
-            verbTotals[static_cast<size_t>(verb)].fetch_add(
-                1, std::memory_order_relaxed);
-            service.dispatchAsync(
-                request.take(),
-                [this, token, verb,
-                 keep_alive](flow::Response response) {
-                    const Status &status =
-                        flow::responseStatus(response);
-                    if (!status.isOk())
-                        verbErrors[static_cast<size_t>(verb)]
-                            .fetch_add(1,
-                                       std::memory_order_relaxed);
-                    const int httpStatus = httpStatusFor(status);
-                    noteResponse(httpStatus);
-                    // The body is flow::toJson(...) verbatim:
-                    // byte-identical to `risspgen <verb> --json`
-                    // for the same request. The server adds
-                    // framing, never schema.
-                    reactor->complete(
-                        token,
-                        http::buildResponse(httpStatus,
-                                            flow::toJson(response),
-                                            "application/json",
-                                            keep_alive),
-                        keep_alive);
-                    inflightDispatches.fetch_sub(
-                        1, std::memory_order_acq_rel);
-                });
+            reactor->complete(token, serveVerb(verb, body, keep_alive),
+                              keep_alive);
+            inflightDispatches.fetch_sub(1, std::memory_order_acq_rel);
         },
         {}, "http:request");
+}
+
+std::string
+HttpServer::serveVerb(Verb verb, const std::string &body,
+                      bool keep_alive)
+{
+    // Parse off the reactor thread: a 4 MB explore plan must not
+    // stall a thousand other connections.
+    const Result<flow::Request> request = requestFromBody(verb, body);
+    if (!request)
+        return errorResponse(httpStatusFor(request.status()),
+                             request.status(), keep_alive);
+    const size_t slot = static_cast<size_t>(verb);
+    verbTotals[slot].fetch_add(1, std::memory_order_relaxed);
+    Status failure;
+    try {
+        const flow::Response response =
+            service.dispatch(request.value());
+        const Status &status = flow::responseStatus(response);
+        if (!status.isOk())
+            verbErrors[slot].fetch_add(1, std::memory_order_relaxed);
+        const int httpStatus = httpStatusFor(status);
+        noteResponse(httpStatus);
+        // The body is flow::toJson(...) verbatim: byte-identical to
+        // `risspgen <verb> --json` for the same request. The server
+        // adds framing, never schema.
+        return http::buildResponse(httpStatus, flow::toJson(response),
+                                   "application/json", keep_alive);
+    } catch (const std::exception &ex) {
+        failure = Status::errorf(ErrorCode::Internal,
+                                 "internal error: %s", ex.what());
+    } catch (...) {
+        failure = Status::error(ErrorCode::Internal, "internal error");
+    }
+    // Errors are values, so a throwing verb is a bug: answer it with
+    // a 500 and keep serving.
+    verbErrors[slot].fetch_add(1, std::memory_order_relaxed);
+    return errorResponse(httpStatusFor(failure), std::move(failure),
+                         keep_alive);
 }
 
 MetricsSnapshot

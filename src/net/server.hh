@@ -191,10 +191,14 @@ class HttpServer
     Reactor::RequestAction onRequest(Reactor::ConnToken token,
                                      const http::RequestHead &head,
                                      std::string body);
-    /** Submit the verb pipeline; the completion hands the response
-     *  bytes back to the reactor from a scheduler worker. */
+    /** Submit the request as one scheduler task, which hands the
+     *  response bytes from serveVerb back to the reactor. */
     void dispatchRequest(Reactor::ConnToken token, Verb verb,
                          std::string body, bool keep_alive);
+    /** Parse @p body, run the verb and return the whole HTTP
+     *  response; runs on a scheduler worker. */
+    std::string serveVerb(Verb verb, const std::string &body,
+                          bool keep_alive);
     std::string errorResponse(int http_status, Status status,
                               bool keep_alive);
     void noteResponse(int http_status);
@@ -208,7 +212,7 @@ class HttpServer
     bool started = false;
 
     std::atomic<bool> drainFlag{false};
-    /** Dispatches whose completion callback has not yet returned;
+    /** Dispatched tasks that have not yet returned;
      *  waitUntilStopped() waits for zero so the reactor is never
      *  destroyed under a worker still handing a response back. */
     std::atomic<size_t> inflightDispatches{0};

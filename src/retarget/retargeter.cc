@@ -79,10 +79,12 @@ nativeLine(const Instr &in, const std::string &branch_target)
 /**
  * The fixed part of every verification trial, assembled once: the
  * data image (a signature area and a scratch buffer the load/store
- * cases address through rs1) and the epilogue that dumps x5..x15 and
- * the buffer into the signature before halting. A trial's code is
- * spliced in front of the epilogue; both are position independent
- * (`la` is lui+addi, macro branches are pc-relative).
+ * cases address through rs1) and the epilogue that dumps x1..x15 and
+ * the buffer into the signature before halting. The epilogue reuses
+ * x1 as its base, so it first parks ra just below sp; a body that
+ * leaves sp changed fails the sp comparison either way. A trial's
+ * code is spliced in front of the epilogue; both are position
+ * independent (`la` is lui+addi, macro branches are pc-relative).
  */
 struct Harness
 {
@@ -101,6 +103,7 @@ harness()
             "buf:\n    .word 0x89ABCDEF, 0x01234567,"
             " 0xF00DFACE, 0x5A5A5A5A\n"
             "    .space 16\n    .text\n_start:\n"
+            "    sw x1, -4(sp)\n"
             "    la x1, signature\n";
         for (unsigned reg_i = 5; reg_i <= 15; ++reg_i)
             src += strFormat("    sw x%u, %u(x1)\n", reg_i,
@@ -112,7 +115,13 @@ harness()
             src += "    la x6, signature\n";
             src += strFormat("    sw x5, %u(x6)\n", 44 + w * 4);
         }
-        src += "    ecall\n";
+        // ra (parked on entry), sp, gp and tp follow the buffer.
+        src += "    lw x5, -4(sp)\n"
+               "    sw x5, 60(x6)\n"
+               "    sw x2, 64(x6)\n"
+               "    sw x3, 68(x6)\n"
+               "    sw x4, 72(x6)\n"
+               "    ecall\n";
         Harness out;
         out.image = assemble(src);
         out.epilogue = std::move(out.image.segments.front().bytes);
@@ -132,7 +141,7 @@ appendWord(std::vector<uint8_t> &bytes, uint32_t word)
 }
 
 /** Boot @p sim on the harness with @p code spliced in front of the
- *  epilogue, set sp and x5..x15 (from @p regs) and run to the halt. */
+ *  epilogue, set x1..x15 from @p regs and run to the halt. */
 bool
 runTrial(RefSim &sim, Program &image, const std::vector<uint8_t> &code,
          const std::array<uint32_t, 16> &regs)
@@ -143,8 +152,7 @@ runTrial(RefSim &sim, Program &image, const std::vector<uint8_t> &code,
     text.insert(text.end(), epilogue.begin(), epilogue.end());
     image.textSize = static_cast<uint32_t>(text.size());
     sim.reset(image);
-    sim.setReg(reg::sp, 0x40000);
-    for (unsigned reg_i = 5; reg_i <= 15; ++reg_i)
+    for (unsigned reg_i = 1; reg_i <= 15; ++reg_i)
         sim.setReg(reg_i, regs[reg_i]);
     return sim.run(100'000).reason == StopReason::Halted;
 }
@@ -271,8 +279,9 @@ Retargeter::verifyOn(RefSim &native_sim, RefSim &expanded_sim, Op op,
             // Known register file; memory ops address the buffer
             // through rs1 (an rs1 == rs2 alias keeps the base).
             std::array<uint32_t, 16> regs{};
-            for (unsigned reg_i = 5; reg_i <= 15; ++reg_i)
-                regs[reg_i] = memory_op && reg_i == c.rs1 ? h.buf
+            for (unsigned reg_i = 1; reg_i <= 15; ++reg_i)
+                regs[reg_i] = reg_i == reg::sp ? 0x40000
+                    : memory_op && reg_i == c.rs1 ? h.buf
                     : reg_i == c.rs1 ? static_cast<uint32_t>(v1)
                     : reg_i == c.rs2 ? static_cast<uint32_t>(v2)
                     : 0x1000 + reg_i * 0x111;
@@ -298,7 +307,7 @@ Retargeter::verifyOn(RefSim &native_sim, RefSim &expanded_sim, Op op,
                 !runTrial(expanded_sim, image,
                           exp_asm.program.segments.front().bytes, regs))
                 return false;
-            for (uint32_t off = 0; off < 60; off += 4) {
+            for (uint32_t off = 0; off < 76; off += 4) {
                 if (native_sim.memory().loadWord(h.signature + off) !=
                     expanded_sim.memory().loadWord(h.signature + off))
                     return false;

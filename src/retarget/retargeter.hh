@@ -90,7 +90,7 @@ class Retargeter
     /**
      * Simulate a candidate macro body for @p op against the native
      * instruction over directed operand/alias cases (60 trials):
-     * both sides must halt with identical x5..x15 and identical
+     * both sides must halt with identical x1..x15 and identical
      * contents of the scratch buffer loads/stores address. Pure: the
      * verdict depends only on @p op and @p body.
      */

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the design-space exploration engine: plan expansion and
- * parsing, the work-stealing pool, exactly-once memoization,
- * determinism under multi-threaded execution, and the Pareto
- * frontier on hand-computed points.
+ * parsing, exactly-once memoization, determinism under
+ * multi-threaded execution, and the Pareto frontier on
+ * hand-computed points.
  */
 
 #include <gtest/gtest.h>
@@ -12,10 +12,10 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "exec/scheduler.hh"
 #include "explore/explorer.hh"
 #include "explore/fingerprint.hh"
 #include "explore/memo.hh"
-#include "explore/workpool.hh"
 
 namespace rissp::explore
 {
@@ -189,28 +189,13 @@ TEST(Fingerprint, SubsetsAndWorkloadsDistinguished)
     EXPECT_NE(techFingerprint(base.tech), techFingerprint(slow.tech));
 }
 
-TEST(WorkPool, RunsEveryTaskOnce)
-{
-    for (unsigned threads : {1u, 4u, 9u}) {
-        WorkStealingPool pool(threads);
-        std::vector<std::atomic<int>> counts(100);
-        std::vector<WorkStealingPool::Task> tasks;
-        for (size_t i = 0; i < counts.size(); ++i)
-            tasks.push_back([&counts, i] { ++counts[i]; });
-        pool.run(std::move(tasks));
-        for (const std::atomic<int> &c : counts)
-            EXPECT_EQ(c.load(), 1) << threads << " threads";
-    }
-}
-
 TEST(Memo, ExactlyOnceAndCounted)
 {
     MemoCache<uint64_t, int> cache;
     std::atomic<int> computions{0};
-    WorkStealingPool pool(4);
-    std::vector<WorkStealingPool::Task> tasks;
+    exec::TaskGraph graph;
     for (int i = 0; i < 40; ++i)
-        tasks.push_back([&cache, &computions, i] {
+        graph.add([&cache, &computions, i] {
             const uint64_t key = i % 4;
             const int value = cache.getOrCompute(key, [&] {
                 ++computions;
@@ -218,7 +203,7 @@ TEST(Memo, ExactlyOnceAndCounted)
             });
             EXPECT_EQ(value, static_cast<int>(key * 10));
         });
-    pool.run(std::move(tasks));
+    exec::Scheduler(4).runToCompletion(std::move(graph));
     // 4 distinct keys: exactly 4 computations no matter the racing.
     EXPECT_EQ(computions.load(), 4);
     EXPECT_EQ(cache.misses(), 4u);
@@ -256,10 +241,9 @@ TEST(Memo, ConcurrentWaitersSeeTheExceptionThenRecover)
         // Round 1: every computation throws; each task either owns a
         // failing compute or waits on one — all must observe the
         // exception, none may hang.
-        WorkStealingPool pool(4);
-        std::vector<WorkStealingPool::Task> tasks;
+        exec::TaskGraph graph;
         for (int i = 0; i < 16; ++i)
-            tasks.push_back([&] {
+            graph.add([&] {
                 try {
                     cache.getOrCompute(9, [&]() -> int {
                         ++attempts;
@@ -269,7 +253,7 @@ TEST(Memo, ConcurrentWaitersSeeTheExceptionThenRecover)
                     ++failures;
                 }
             });
-        pool.run(std::move(tasks));
+        exec::Scheduler(4).runToCompletion(std::move(graph));
     }
     EXPECT_EQ(failures.load(), 16);
     EXPECT_EQ(cache.size(), 0u);

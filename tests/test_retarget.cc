@@ -34,9 +34,10 @@ TEST(MacroLibrary, CoversEveryNonKernelOp)
             op == Op::Auipc || op == Op::Jal || op == Op::Jalr ||
             isCustom(op))
             continue;
-        if (!target.contains(op))
+        if (!target.contains(op)) {
             EXPECT_TRUE(canRetarget(op))
                 << "no expansion for " << opName(op);
+        }
     }
 }
 
@@ -126,6 +127,20 @@ TEST(Retargeter, VerifyMacroRejectsDisciplineViolations)
         Op::Lbu, correctMacroBody(Op::Lbu) + "    sw zero, 0(\\base)\n"));
     // A body that does not assemble.
     EXPECT_FALSE(Retargeter::verifyMacro(Op::Sub, "    sub \\rd\n"));
+    // A body that saves ra on the stack but never restores ra or sp.
+    EXPECT_FALSE(Retargeter::verifyMacro(Op::Sub, R"(
+    addi sp, sp, -4
+    sw ra, 0(sp)
+    xori ra, \rs2, -1
+    addi ra, ra, 1
+    add \rd, \rs1, ra
+)"));
+    // A body that uses gp as unsaved scratch.
+    EXPECT_FALSE(Retargeter::verifyMacro(Op::Sub, R"(
+    xori x3, \rs2, -1
+    addi x3, x3, 1
+    add \rd, \rs1, x3
+)"));
 }
 
 TEST(Retargeter, ReconstructCarriesDataByteExact)

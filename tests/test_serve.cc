@@ -34,6 +34,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "flow/flow.hh"
@@ -278,6 +279,53 @@ TEST(ServeEndpoints, MetricsShape)
         EXPECT_NE(entry->find("hits"), nullptr);
         EXPECT_NE(entry->find("misses"), nullptr);
     }
+}
+
+/** `scheduler.executed` from GET /metrics once every submitted task
+ *  has run. A task's count lands just after its response is handed
+ *  back, so a client can read /metrics before it does. */
+double
+settledTasksRun(uint16_t port)
+{
+    for (int attempt = 0; attempt < 5000; ++attempt) {
+        const auto response = httpRequest(port, "GET", "/metrics");
+        if (!response)
+            break;
+        const Result<JsonValue> metrics = parseJson(response->body);
+        if (!metrics)
+            break;
+        const JsonValue *scheduler = metrics.value().find("scheduler");
+        const double executed = scheduler->find("executed")->asNumber();
+        if (executed == scheduler->find("submitted")->asNumber())
+            return executed;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ADD_FAILURE() << "scheduler never settled";
+    return -1;
+}
+
+TEST(ServeTasks, EachServedRequestRunsExactlyOneSchedulerTask)
+{
+    // Run to completion: the http:request task parses the body and
+    // runs the synchronous verb inline, so a served request of any
+    // verb executes exactly one scheduler task.
+    Harness harness;
+    const std::pair<const char *, const char *> requests[] = {
+        {"run", R"({"workload": "crc32", "verify": true})"},
+        {"synth", R"({"workload": "crc32", "tech": "flexic-0.6um"})"},
+        {"retarget", R"({"workload": "crc32"})"},
+        {"characterize", R"({"workload": "crc32"})"},
+    };
+    const double before = settledTasksRun(harness.port());
+    for (const auto &[verb, body] : requests) {
+        const auto response = httpRequest(
+            harness.port(), "POST", std::string("/api/v1/") + verb,
+            body);
+        ASSERT_TRUE(response.has_value()) << verb;
+        EXPECT_EQ(response->status, 200) << verb;
+    }
+    EXPECT_EQ(settledTasksRun(harness.port()) - before,
+              double(std::size(requests)));
 }
 
 // --------------------------------------------------- error handling

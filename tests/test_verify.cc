@@ -547,12 +547,14 @@ TEST(Spec, MatchesIssOnRandomInstructions)
         const uint32_t rs2 = sim.reg(v.in.insn.rs2);
         SpecEffect fx0 = specExecute(v.in.insn, v.in.pc, rs1, rs2);
         RetireEvent ev = sim.step();
-        if (!fx0.halt)
+        if (!fx0.halt) {
             EXPECT_EQ(ev.nextPc, fx0.nextPc)
                 << disassemble(v.in.insn.raw);
-        if (fx0.writesRd && v.in.insn.rd != 0)
+        }
+        if (fx0.writesRd && v.in.insn.rd != 0) {
             EXPECT_EQ(sim.reg(v.in.insn.rd), fx0.rdValue)
                 << disassemble(v.in.insn.raw);
+        }
         (void)fx;
     }
 }

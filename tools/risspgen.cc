@@ -34,9 +34,9 @@
  *   retarget bench.c
  *   explore sweep.plan
  *
- * The whole batch is handed to `FlowService::runBatch`, which
- * decomposes every request into pipeline stages on one shared
- * work-stealing scheduler — identical in-flight work (the same
+ * The whole batch is handed to `FlowService::runBatch`, which runs
+ * every request as one task on one shared work-stealing
+ * scheduler — identical in-flight work (the same
  * source compiled, the same subset swept) is computed once for the
  * whole batch. Responses print in request order with a per-request
  * status; the exit code is 0 only if every request succeeded.
