@@ -210,7 +210,8 @@ main(int argc, char **argv)
         });
     }
 
-    // Lock-step cosimulation (both simulators plus trace compare).
+    // Co-simulation of a passing run: the compare-sink path (the
+    // RISSP's fast core steps the reference once per retirement).
     bench("cosim", "instret", [&] {
         return cosimulate(cr.program, subset, 10'000'000).instret;
     });

@@ -83,7 +83,9 @@ Type::decayed() const
     // value, which MiniC does not support).
     if (dims.size() != 1)
         panic("decayed() on multi-dimensional array");
-    Type t = subscripted();
+    // The element type of a 1-D array is the array with no dims.
+    Type t = *this;
+    t.dims.clear();
     ++t.ptr;
     return t;
 }

@@ -54,7 +54,8 @@ Rissp::stepFast()
     // single-step API (cosim's lock-step loop) inherits the fast
     // path without paying the threaded core's per-entry table build.
     stepScratch.clear();
-    runCoreSwitch<true>(1, &stepScratch);
+    sim_detail::VectorSink sink{stepScratch};
+    runCoreSwitch(1, sink);
     return stepScratch.front();
 }
 
@@ -239,17 +240,21 @@ Rissp::run(const RisspRunOptions &options)
     }
 
     const DispatchMode mode = resolveDispatchMode(options.dispatch);
+    sim_detail::NullSink none;
 #if RISSP_HAS_COMPUTED_GOTO
-    if (mode == DispatchMode::Threaded)
-        return options.trace
-            ? runCoreThreaded<true>(options.maxSteps, options.trace)
-            : runCoreThreaded<false>(options.maxSteps, nullptr);
+    if (mode == DispatchMode::Threaded) {
+        if (!options.trace)
+            return runCoreThreaded(options.maxSteps, none);
+        sim_detail::VectorSink trace{*options.trace};
+        return runCoreThreaded(options.maxSteps, trace);
+    }
 #else
     (void)mode;
 #endif
-    return options.trace
-        ? runCoreSwitch<true>(options.maxSteps, options.trace)
-        : runCoreSwitch<false>(options.maxSteps, nullptr);
+    if (!options.trace)
+        return runCoreSwitch(options.maxSteps, none);
+    sim_detail::VectorSink trace{*options.trace};
+    return runCoreSwitch(options.maxSteps, trace);
 }
 
 } // namespace rissp

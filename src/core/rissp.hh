@@ -22,6 +22,7 @@
 
 #include "core/modularex.hh"
 #include "sim/refsim.hh"
+#include "sim/rvfi_monitor.hh"
 
 namespace rissp
 {
@@ -87,6 +88,21 @@ class Rissp
      *  subset-specialized interpreter core runs. */
     RunResult run(const RisspRunOptions &options);
 
+    /**
+     * Co-simulate at fast-core speed against @p ref, reset to the
+     * same program: run the subset-specialized core, and at each of
+     * its retirement records — trap records and off-span gate-level
+     * steps included — step the reference once with RefSim::step(),
+     * compare the pair with eventsMatch() and push this RISSP's
+     * record into @p monitor. Stops at the first mismatch or monitor
+     * violation, at a halt or trap, or after @p maxSteps
+     * retirements. The dispatch core resolves like run()'s Auto.
+     * @return true when this RISSP halted with every record matched
+     *         and the monitor clean.
+     */
+    bool runAgainst(RefSim &ref, RvfiStreamChecker &monitor,
+                    uint64_t maxSteps);
+
     uint32_t pc() const { return pcReg; }
     uint32_t reg(unsigned idx) const;
     /** Direct memory access. Writing into the text span through this
@@ -114,12 +130,10 @@ class Rissp
     // Interpreter cores over the pre-decoded text span, stamped out
     // from sim/exec_core.inc — same statement of the semantics as
     // RefSim's, specialized here to the generated subset.
-    template <bool kTrace>
-    RunResult runCoreSwitch(uint64_t maxSteps,
-                            std::vector<RetireEvent> *traceOut);
-    template <bool kTrace>
-    RunResult runCoreThreaded(uint64_t maxSteps,
-                              std::vector<RetireEvent> *traceOut);
+    template <class Sink>
+    RunResult runCoreSwitch(uint64_t maxSteps, Sink &sink);
+    template <class Sink>
+    RunResult runCoreThreaded(uint64_t maxSteps, Sink &sink);
 
     // exec_core.inc hooks: only stitched blocks execute, every
     // retire charges ModularEx's counters, and off-span execution

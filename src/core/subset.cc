@@ -98,7 +98,12 @@ InstrSubset::names() const
 std::string
 InstrSubset::describe() const
 {
-    return "[" + join(names(), ", ") + "]";
+    // Appended, not `"[" + ... + "]"`: gcc 12 -O3 misreads the
+    // operator+ chain as an overlapping copy (-Wrestrict).
+    std::string out = "[";
+    out += join(names(), ", ");
+    out += "]";
+    return out;
 }
 
 double

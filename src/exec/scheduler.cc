@@ -65,6 +65,8 @@ struct Scheduler::Handle::Task
     std::shared_future<void> future;
     Group *group = nullptr; ///< owning runToCompletion call, if any
     TaskId node = 0;        ///< id within the group's graph
+    /** Worker whose thread enqueued the task, or kExternal. */
+    unsigned enqueuedBy = 0;
 };
 
 struct Scheduler::Group
@@ -77,6 +79,14 @@ struct Scheduler::Group
 namespace
 {
 using State = Scheduler::Handle::Task::State;
+
+/** Handle::Task::enqueuedBy of a task queued from off the pool. */
+constexpr unsigned kExternal = ~0u;
+
+/** The scheduler and worker index of the current thread, set once
+ *  by Scheduler::workerLoop; null on threads outside any pool. */
+thread_local const Scheduler *tlsScheduler = nullptr;
+thread_local unsigned tlsWorker = 0;
 } // namespace
 
 void
@@ -133,14 +143,18 @@ Scheduler::popLocked(unsigned self)
         own.pop_back();
         return task;
     }
-    // ...then steal the oldest task from a victim.
+    // ...then steal the oldest task from a victim. Only a task
+    // another worker enqueued counts as stolen: external pushes are
+    // spread round-robin, so taking one says nothing about balance.
     for (unsigned off = 1; off < numThreads; ++off) {
         std::deque<TaskPtr> &victim =
             queues[(self + off) % numThreads];
         if (!victim.empty()) {
             TaskPtr task = std::move(victim.front());
             victim.pop_front();
-            ++steals;
+            if (task->enqueuedBy != kExternal &&
+                task->enqueuedBy != self)
+                ++steals;
             return task;
         }
     }
@@ -151,8 +165,15 @@ void
 Scheduler::enqueueReadyLocked(const TaskPtr &task, unsigned hint)
 {
     task->state = State::Ready;
+    task->enqueuedBy = currentWorker();
     queues[hint % queues.size()].push_back(task);
     workCv.notify_one();
+}
+
+unsigned
+Scheduler::currentWorker() const
+{
+    return tlsScheduler == this ? tlsWorker : kExternal;
 }
 
 void
@@ -212,6 +233,8 @@ Scheduler::completeLocked(const TaskPtr &task,
 void
 Scheduler::workerLoop(unsigned self)
 {
+    tlsScheduler = this;
+    tlsWorker = self;
     UniqueLock lock(mu);
     for (;;) {
         TaskPtr task = popLocked(self);

@@ -135,8 +135,12 @@ class Scheduler
 
     unsigned threadCount() const { return numThreads; }
 
-    /** Tasks obtained by stealing rather than from the executing
-     *  worker's own deque, over the scheduler's lifetime. */
+    /** Steals over the scheduler's lifetime: tasks a worker took
+     *  from another worker's deque that a different worker had
+     *  enqueued (a submit from inside a task, or a dependent readied
+     *  by a completion). Tasks queued from outside the pool land on
+     *  a round-robin deque and wake an arbitrary worker, so taking
+     *  one is not a steal. */
     uint64_t stealCount() const;
 
     /** Task bodies actually executed (cancelled and dependency-
@@ -167,6 +171,8 @@ class Scheduler
     TaskPtr popLocked(unsigned self) RISSP_REQUIRES(mu);
     void enqueueReadyLocked(const TaskPtr &task, unsigned hint)
         RISSP_REQUIRES(mu);
+    /** This thread's worker index, or kExternal off the pool. */
+    unsigned currentWorker() const;
     void completeLocked(const TaskPtr &task,
                         std::exception_ptr error) RISSP_REQUIRES(mu);
     void failDependentsLocked(const TaskPtr &task,

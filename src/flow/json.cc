@@ -289,7 +289,11 @@ toJson(const Response &response)
 std::string
 toJson(const Status &status)
 {
-    return "{" + statusJson(status) + "}\n";
+    // Appended, not chained: see InstrSubset::describe().
+    std::string out = "{";
+    out += statusJson(status);
+    out += "}\n";
+    return out;
 }
 
 } // namespace rissp::flow

@@ -187,10 +187,11 @@ FlowService::run(const RunRequest &request) const
     if (!request.verify)
         return response;
 
-    // cosimulate() re-executes DUT and reference lock-step from
-    // reset; a verified run therefore executes the program twice,
-    // like the Figure 4 flow it mirrors. Deriving the exec stage
-    // from the cosim pass would halve that.
+    // cosimulate() re-executes DUT and reference from reset, like
+    // the Figure 4 flow it mirrors; it runs only on a halted exec.
+    // Taking the exec stage from the cosim pass would save little:
+    // the plain run is ~1/10 of the cosim's cost, and a run that
+    // traps or hits the step limit is never verified.
     CosimOptions options;
     options.maxSteps = request.maxSteps;
     options.fault = request.injectFault ? &*request.injectFault

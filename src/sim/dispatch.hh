@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <optional>
 #include <string_view>
+#include <vector>
 
 #include "sim/trace.hh"
 
@@ -73,9 +74,9 @@ namespace sim_detail
 {
 
 /** Per-instruction retirement-record storage for the interpreter
- *  cores: a real RetireEvent in traced instantiations, empty (and
- *  thus free) in untraced ones. */
-template <bool kTrace>
+ *  cores: a real RetireEvent in instantiations whose sink takes
+ *  records, empty (and thus free) otherwise. */
+template <bool kRecords>
 struct TraceSlot
 {
     RetireEvent ev;
@@ -84,6 +85,35 @@ struct TraceSlot
 template <>
 struct TraceSlot<false>
 {
+};
+
+/*
+ * Retire-sink policies for the interpreter cores (exec_core.inc).
+ * A sink sees every retirement record a core produces, in order —
+ * trap records and off-span slow steps included — and ends the run
+ * early by returning false from retire(). A sink with kRecords ==
+ * false makes the core build no records at all. A third sink, the
+ * RISSP's compare sink against the reference ISS, lives next to its
+ * only user (core/rissp_cosim.cc).
+ */
+
+/** No records: the plain run() loop. */
+struct NullSink
+{
+    static constexpr bool kRecords = false;
+    bool retire(const RetireEvent &) { return true; }
+};
+
+/** Appends every record to a vector: traced run(), single step(). */
+struct VectorSink
+{
+    static constexpr bool kRecords = true;
+    std::vector<RetireEvent> &out;
+    bool retire(const RetireEvent &ev)
+    {
+        out.push_back(ev);
+        return true;
+    }
 };
 
 } // namespace sim_detail

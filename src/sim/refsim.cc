@@ -257,17 +257,21 @@ RunResult
 RefSim::run(const SimRunOptions &options)
 {
     const DispatchMode mode = resolveDispatchMode(options.dispatch);
+    sim_detail::NullSink none;
 #if RISSP_HAS_COMPUTED_GOTO
-    if (mode == DispatchMode::Threaded)
-        return options.trace
-            ? runCoreThreaded<true>(options.maxSteps, options.trace)
-            : runCoreThreaded<false>(options.maxSteps, nullptr);
+    if (mode == DispatchMode::Threaded) {
+        if (!options.trace)
+            return runCoreThreaded(options.maxSteps, none);
+        sim_detail::VectorSink trace{*options.trace};
+        return runCoreThreaded(options.maxSteps, trace);
+    }
 #else
     (void)mode;
 #endif
-    return options.trace
-        ? runCoreSwitch<true>(options.maxSteps, options.trace)
-        : runCoreSwitch<false>(options.maxSteps, nullptr);
+    if (!options.trace)
+        return runCoreSwitch(options.maxSteps, none);
+    sim_detail::VectorSink trace{*options.trace};
+    return runCoreSwitch(options.maxSteps, trace);
 }
 
 } // namespace rissp

@@ -130,12 +130,10 @@ class RefSim
     // Interpreter cores over the pre-decoded text span, stamped out
     // from sim/exec_core.inc (one statement of the semantics, two
     // dispatch mechanisms).
-    template <bool kTrace>
-    RunResult runCoreSwitch(uint64_t maxSteps,
-                            std::vector<RetireEvent> *traceOut);
-    template <bool kTrace>
-    RunResult runCoreThreaded(uint64_t maxSteps,
-                              std::vector<RetireEvent> *traceOut);
+    template <class Sink>
+    RunResult runCoreSwitch(uint64_t maxSteps, Sink &sink);
+    template <class Sink>
+    RunResult runCoreThreaded(uint64_t maxSteps, Sink &sink);
 
     // exec_core.inc hooks: the reference executes every valid op,
     // counts nothing, and falls back to step() off-span.

@@ -9,55 +9,6 @@
 namespace rissp
 {
 
-void
-RvfiStreamChecker::push(const RetireEvent &ev)
-{
-    // Chaining checks between the previous event and this one are
-    // flagged on the previous event's index, matching the batch
-    // checker's report text exactly.
-    if (hasPrev) {
-        auto flag_prev = [&](const char *what) {
-            rpt.violations.push_back(strFormat(
-                "event %zu (pc=0x%08x): %s", index - 1, prev.pc,
-                what));
-        };
-        if (prev.halt || prev.trap)
-            flag_prev("retirement after halt/trap");
-        else if (ev.pc != prev.nextPc)
-            flag_prev("pc chain broken");
-    }
-
-    ++rpt.eventsChecked;
-    auto flag = [&](const char *what) {
-        rpt.violations.push_back(strFormat(
-            "event %zu (pc=0x%08x): %s", index, ev.pc, what));
-    };
-    if (ev.order != index)
-        flag("retirement order not monotone");
-    if (ev.rd == 0 && ev.rdData != 0)
-        flag("x0 written with a non-zero value");
-    if (ev.memRead && ev.memWrite)
-        flag("simultaneous load and store");
-    if ((ev.memRead || ev.memWrite) &&
-        ev.memBytes != 1 && ev.memBytes != 2 && ev.memBytes != 4)
-        flag("illegal memory access width");
-    if (!ev.trap && !ev.halt && (ev.nextPc & 3))
-        flag("misaligned next pc");
-
-    prev = ev;
-    hasPrev = true;
-    ++index;
-}
-
-MonitorReport
-checkRvfiStream(const std::vector<RetireEvent> &events)
-{
-    RvfiStreamChecker checker;
-    for (const RetireEvent &ev : events)
-        checker.push(ev);
-    return checker.report();
-}
-
 namespace
 {
 
@@ -70,19 +21,6 @@ describeEvent(const RetireEvent &ev)
         disassemble(ev.raw).c_str(), ev.rd, ev.rdData,
         ev.memRead ? "R" : ev.memWrite ? "W" : "-", ev.memAddr,
         ev.memData);
-}
-
-bool
-eventsMatch(const RetireEvent &a, const RetireEvent &b)
-{
-    return a.pc == b.pc && a.raw == b.raw && a.nextPc == b.nextPc &&
-        a.rd == b.rd && a.rdData == b.rdData &&
-        a.memRead == b.memRead && a.memWrite == b.memWrite &&
-        (!a.memRead && !a.memWrite
-         ? true
-         : a.memAddr == b.memAddr && a.memData == b.memData &&
-             a.memBytes == b.memBytes) &&
-        a.halt == b.halt && a.trap == b.trap;
 }
 
 /** Fixed-capacity ring of the most recent retirements. */
@@ -114,11 +52,64 @@ class EventRing
     size_t count = 0;
 };
 
+/** Compare the final architectural state: the register file, then
+ *  the signature region when the program defines one. Returns the
+ *  first difference, or an empty string when the two agree. */
+std::string
+finalStateDivergence(const Program &program, const RefSim &ref,
+                     const Rissp &dut)
+{
+    for (unsigned r = 0; r < kNumRegsE; ++r) {
+        if (ref.reg(r) != dut.reg(r))
+            return strFormat("final x%u: ref=0x%08x dut=0x%08x", r,
+                             ref.reg(r), dut.reg(r));
+    }
+    if (program.hasSymbol("signature")) {
+        const uint32_t base = program.symbol("signature");
+        for (uint32_t off = 0; off < 256; off += 4) {
+            const uint32_t rv = ref.memory().loadWord(base + off);
+            const uint32_t dv = dut.memory().loadWord(base + off);
+            if (rv != dv)
+                return strFormat("signature+%u: ref=0x%08x dut=0x%08x",
+                                 off, rv, dv);
+        }
+    }
+    return {};
+}
+
 } // namespace
 
 CosimReport
 cosimulate(const Program &program, const InstrSubset &subset,
            const CosimOptions &options)
+{
+    if (options.fault)
+        return cosimulateLockStep(program, subset, options);
+
+    // Fast check: the exact compare inside the RISSP's interpreter
+    // core. A pass needs a clean halt and agreeing final state; the
+    // report of a pass carries no context, so it is complete here.
+    RefSim ref;
+    ref.reset(program);
+    Rissp dut(subset, "cosim-dut");
+    dut.reset(program);
+    RvfiStreamChecker monitor;
+    if (dut.runAgainst(ref, monitor, options.maxSteps) &&
+        finalStateDivergence(program, ref, dut).empty()) {
+        CosimReport rpt;
+        rpt.passed = true;
+        rpt.instret = monitor.report().eventsChecked;
+        rpt.monitor = monitor.report();
+        return rpt;
+    }
+    // Anything else — a mismatch, a violation, a trap, the step
+    // limit — is replayed lock-step from reset for the exact report.
+    return cosimulateLockStep(program, subset, options);
+}
+
+CosimReport
+cosimulateLockStep(const Program &program, const InstrSubset &subset,
+                   const CosimOptions &options)
 {
     CosimReport rpt;
     RefSim ref;
@@ -165,28 +156,10 @@ cosimulate(const Program &program, const InstrSubset &subset,
     }
 
     // Final architectural state must agree.
-    for (unsigned r = 0; r < kNumRegsE; ++r) {
-        if (ref.reg(r) != dut.reg(r)) {
-            rpt.firstDivergence = strFormat(
-                "final x%u: ref=0x%08x dut=0x%08x", r, ref.reg(r),
-                dut.reg(r));
-            divergence_context();
-            return rpt;
-        }
-    }
-    if (program.hasSymbol("signature")) {
-        const uint32_t base = program.symbol("signature");
-        for (uint32_t off = 0; off < 256; off += 4) {
-            const uint32_t rv = ref.memory().loadWord(base + off);
-            const uint32_t dv = dut.memory().loadWord(base + off);
-            if (rv != dv) {
-                rpt.firstDivergence = strFormat(
-                    "signature+%u: ref=0x%08x dut=0x%08x", off, rv,
-                    dv);
-                divergence_context();
-                return rpt;
-            }
-        }
+    rpt.firstDivergence = finalStateDivergence(program, ref, dut);
+    if (!rpt.firstDivergence.empty()) {
+        divergence_context();
+        return rpt;
     }
     rpt.monitor = monitor.report();
     rpt.passed = rpt.monitor.passed();

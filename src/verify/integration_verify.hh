@@ -6,8 +6,10 @@
  *    run directed tests on the RISSP, compare the signature a golden
  *    reference produces — our RefSim plays Spike);
  *  - RVFI retirement-trace monitors (the riscv-formal flow): pc
- *    chaining, register-file consistency, memory access legality;
- *  - lock-step co-simulation on constrained-random programs.
+ *    chaining, register-file consistency, memory access legality
+ *    (stated once in sim/rvfi_monitor.hh);
+ *  - co-simulation against the reference on workloads and
+ *    constrained-random programs.
  */
 
 #ifndef RISSP_VERIFY_INTEGRATION_VERIFY_HH
@@ -16,46 +18,10 @@
 #include "core/rissp.hh"
 #include "core/subset.hh"
 #include "sim/refsim.hh"
+#include "sim/rvfi_monitor.hh"
 
 namespace rissp
 {
-
-/** RVFI monitor verdict. */
-struct MonitorReport
-{
-    uint64_t eventsChecked = 0;
-    std::vector<std::string> violations;
-
-    bool passed() const { return violations.empty(); }
-};
-
-/**
- * Incremental RVFI monitor: push() one retirement event at a time and
- * the same per-event and chaining invariants as checkRvfiStream() are
- * applied as the stream flows, holding only the previous event —
- * O(violations) memory instead of O(instret). For any event sequence,
- * pushing all events then calling report() yields a MonitorReport
- * identical to checkRvfiStream() on the equivalent vector (covered by
- * test_verify).
- */
-class RvfiStreamChecker
-{
-  public:
-    /** Check @p ev as the next retirement in the stream. */
-    void push(const RetireEvent &ev);
-
-    /** Verdict over everything pushed so far. */
-    const MonitorReport &report() const { return rpt; }
-
-  private:
-    MonitorReport rpt;
-    RetireEvent prev;
-    bool hasPrev = false;
-    size_t index = 0;
-};
-
-/** Check an RVFI stream for per-event and chaining invariants. */
-MonitorReport checkRvfiStream(const std::vector<RetireEvent> &events);
 
 /** Lock-step co-simulation verdict. */
 struct CosimReport
@@ -90,12 +56,30 @@ struct CosimOptions
  * ISS, comparing every retirement event, the final register file and
  * the final memory signature region (symbol "signature", when the
  * program defines it). RVFI invariants are checked incrementally per
- * step (RvfiStreamChecker) and only a small ring of recent events is
- * retained for context, so memory stays O(1) in instret.
+ * step (RvfiStreamChecker), so memory stays O(1) in instret.
+ *
+ * Without a fault this first runs the exact compare inside the
+ * RISSP's fast core (Rissp::runAgainst: RefSim::step() once per
+ * retirement, eventsMatch() on each pair). Only a clean halt with
+ * matching final state is reported from that pass; any other outcome
+ * is replayed from reset by cosimulateLockStep(), whose report is
+ * returned — so every failing report, with its context rings, is the
+ * lock-step one. A fault always runs lock-step.
  */
 CosimReport cosimulate(const Program &program,
                        const InstrSubset &subset,
                        const CosimOptions &options);
+
+/**
+ * The lock-step loop: Rissp::step() (gate-level under a fault) and
+ * RefSim::step() once each per retirement, a ring of the last
+ * CosimOptions::contextEvents pairs kept for the report. The golden
+ * cosimulate() replays a failure with, and the reference the
+ * compare-sink path is tested against.
+ */
+CosimReport cosimulateLockStep(const Program &program,
+                               const InstrSubset &subset,
+                               const CosimOptions &options);
 
 /** Convenience overload with the historical signature. */
 CosimReport cosimulate(const Program &program,

@@ -215,6 +215,38 @@ TEST(Scheduler, CancelPreventsExecutionAndPropagates)
     EXPECT_EQ(scheduler.tasksRun(), 1u); // just the blocker
 }
 
+TEST(Scheduler, ExternalSubmitsAreNotSteals)
+{
+    // One request at a time from outside the pool: each task lands
+    // on a round-robin deque and wakes whichever worker, which is
+    // not load imbalance.
+    Scheduler scheduler(4);
+    for (int i = 0; i < 100; ++i)
+        scheduler.submit([] {}).wait();
+    EXPECT_EQ(scheduler.tasksRun(), 100u);
+    EXPECT_EQ(scheduler.stealCount(), 0u);
+}
+
+TEST(Scheduler, WorkerSubmittedTasksAreStolen)
+{
+    // A task fans out onto both deques and then blocks its worker
+    // until the children finish, so the other worker has to steal
+    // the children queued on the blocked worker's deque.
+    Scheduler scheduler(2);
+    std::atomic<int> ran{0};
+    scheduler
+        .submit([&] {
+            std::vector<Scheduler::Handle> children;
+            for (int i = 0; i < 8; ++i)
+                children.push_back(scheduler.submit([&ran] { ++ran; }));
+            for (const Scheduler::Handle &child : children)
+                child.wait();
+        })
+        .wait();
+    EXPECT_EQ(ran.load(), 8);
+    EXPECT_GT(scheduler.stealCount(), 0u);
+}
+
 // ------------------------------------------------ stage dedup
 
 TEST(SchedulerDedup, ExactlyOnceUnder32WayContention)

@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "assembler/assembler.hh"
+#include "compiler/driver.hh"
 #include "verify/block_verify.hh"
 #include "verify/integration_verify.hh"
 #include "verify/spec.hh"
+#include "workloads/workloads.hh"
 
 namespace rissp
 {
@@ -257,12 +261,11 @@ TEST(RvfiMonitor, StreamingCheckerMatchesLegacyReporter)
     }
 }
 
-TEST(Cosim, LoadToX0MatchesReference)
+/** Loads into x0 of every width. */
+Program
+loadToX0Program()
 {
-    // Regression: the DUT used to zero memData for rd == x0 loads
-    // while the reference reported the raw DMEM data, so a legal
-    // `lw x0, ...` falsely diverged. Both now report the data.
-    Program p = assemble(R"(
+    return assemble(R"(
         li a0, 0x600
         li a1, 0x89ABCDEF
         sw a1, 0(a0)
@@ -271,6 +274,61 @@ TEST(Cosim, LoadToX0MatchesReference)
         lbu zero, 0(a0)
         ecall
     )");
+}
+
+/** A word store that patches the next instruction to
+ *  `addi a2, zero, 99`. */
+Program
+selfModifyingWordProgram()
+{
+    const uint32_t patched = encodeI(Op::Addi, 12, 0, 99);
+    return assemble(strFormat(R"(
+        la a0, patch
+        li a1, %d
+        sw a1, 0(a0)
+    patch:
+        addi a2, zero, 1
+        ecall
+    )", static_cast<int32_t>(patched)));
+}
+
+/** A byte store into imm[11:4] of the next instruction: storing 42
+ *  there rewrites `addi a2, zero, 0` to `addi a2, zero, 672`. */
+Program
+selfModifyingByteProgram()
+{
+    return assemble(R"(
+        la a0, patch
+        li a1, 42
+        sb a1, 3(a0)
+    patch:
+        addi a2, zero, 0
+        ecall
+    )");
+}
+
+/** Accesses that wrap past 2^32: a load, then a store. */
+std::vector<Program>
+wrappingAccessPrograms()
+{
+    return {assemble(R"(
+        li a0, -2
+        lw a1, 0(a0)
+        ecall
+    )"),
+            assemble(R"(
+        li a0, -1
+        sh a0, 0(a0)
+        ecall
+    )")};
+}
+
+TEST(Cosim, LoadToX0MatchesReference)
+{
+    // Regression: the DUT used to zero memData for rd == x0 loads
+    // while the reference reported the raw DMEM data, so a legal
+    // `lw x0, ...` falsely diverged. Both now report the data.
+    Program p = loadToX0Program();
     CosimReport rpt =
         cosimulate(p, InstrSubset::fullRv32e(), 1000);
     EXPECT_TRUE(rpt.passed) << rpt.firstDivergence;
@@ -295,15 +353,7 @@ TEST(Cosim, SelfModifyingCodeStaysInLockstep)
     // patched instruction, and their traces must stay identical. If
     // the DUT served a stale pre-patch decode, its a2 would differ
     // from the reference's and the cosim would diverge.
-    const uint32_t patched = encodeI(Op::Addi, 12, 0, 99);
-    Program p = assemble(strFormat(R"(
-        la a0, patch
-        li a1, %d
-        sw a1, 0(a0)
-    patch:
-        addi a2, zero, 1
-        ecall
-    )", static_cast<int32_t>(patched)));
+    Program p = selfModifyingWordProgram();
     CosimReport rpt =
         cosimulate(p, InstrSubset::fullRv32e(), 1000);
     EXPECT_TRUE(rpt.passed) << rpt.firstDivergence;
@@ -317,14 +367,7 @@ TEST(Cosim, SelfModifyingCodeStaysInLockstep)
 
     // Sub-word patch too: byte 3 of an I-type word is imm[11:4], so
     // storing 42 there rewrites the immediate to 672.
-    Program pb = assemble(R"(
-        la a0, patch
-        li a1, 42
-        sb a1, 3(a0)
-    patch:
-        addi a2, zero, 0
-        ecall
-    )");
+    Program pb = selfModifyingByteProgram();
     CosimReport rptb =
         cosimulate(pb, InstrSubset::fullRv32e(), 1000);
     EXPECT_TRUE(rptb.passed) << rptb.firstDivergence;
@@ -339,24 +382,125 @@ TEST(Cosim, WrappingAccessTrapsIdentically)
     // Address-space wrap is a trap in both simulators (satellite of
     // the Memory wrap fix); lock-step agreement means the cosim run
     // itself passes, with the trap as the final retirement.
-    Program p = assemble(R"(
-        li a0, -2
-        lw a1, 0(a0)
-        ecall
-    )");
+    const std::vector<Program> programs = wrappingAccessPrograms();
     CosimReport rpt =
-        cosimulate(p, InstrSubset::fullRv32e(), 1000);
+        cosimulate(programs[0], InstrSubset::fullRv32e(), 1000);
     EXPECT_TRUE(rpt.passed) << rpt.firstDivergence;
     EXPECT_EQ(rpt.instret, 2u);
 
-    Program ps = assemble(R"(
-        li a0, -1
-        sh a0, 0(a0)
-        ecall
-    )");
     CosimReport rpt2 =
-        cosimulate(ps, InstrSubset::fullRv32e(), 1000);
+        cosimulate(programs[1], InstrSubset::fullRv32e(), 1000);
     EXPECT_TRUE(rpt2.passed) << rpt2.firstDivergence;
+}
+
+void
+expectSameEvents(const std::vector<RetireEvent> &a,
+                 const std::vector<RetireEvent> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << "context event " << i);
+        EXPECT_EQ(a[i].order, b[i].order);
+        EXPECT_EQ(a[i].pc, b[i].pc);
+        EXPECT_EQ(a[i].nextPc, b[i].nextPc);
+        EXPECT_EQ(a[i].raw, b[i].raw);
+        EXPECT_EQ(a[i].op, b[i].op);
+        EXPECT_EQ(a[i].rs1, b[i].rs1);
+        EXPECT_EQ(a[i].rs2, b[i].rs2);
+        EXPECT_EQ(a[i].rs1Data, b[i].rs1Data);
+        EXPECT_EQ(a[i].rs2Data, b[i].rs2Data);
+        EXPECT_EQ(a[i].rd, b[i].rd);
+        EXPECT_EQ(a[i].rdData, b[i].rdData);
+        EXPECT_EQ(a[i].memRead, b[i].memRead);
+        EXPECT_EQ(a[i].memWrite, b[i].memWrite);
+        EXPECT_EQ(a[i].memAddr, b[i].memAddr);
+        EXPECT_EQ(a[i].memData, b[i].memData);
+        EXPECT_EQ(a[i].memBytes, b[i].memBytes);
+        EXPECT_EQ(a[i].trap, b[i].trap);
+        EXPECT_EQ(a[i].halt, b[i].halt);
+    }
+}
+
+/** cosimulate() (compare sink, lock-step replay on any failure) and
+ *  cosimulateLockStep() must return the same report; returns its
+ *  verdict. */
+bool
+expectSameCosim(const Program &program, const InstrSubset &subset,
+                uint64_t max_steps)
+{
+    SCOPED_TRACE(::testing::Message() << "maxSteps " << max_steps);
+    CosimOptions options;
+    options.maxSteps = max_steps;
+    const CosimReport fast = cosimulate(program, subset, options);
+    const CosimReport lock = cosimulateLockStep(program, subset,
+                                                options);
+    EXPECT_EQ(fast.passed, lock.passed);
+    EXPECT_EQ(fast.instret, lock.instret);
+    EXPECT_EQ(fast.firstDivergence, lock.firstDivergence);
+    EXPECT_EQ(fast.monitor.eventsChecked, lock.monitor.eventsChecked);
+    EXPECT_EQ(fast.monitor.violations, lock.monitor.violations);
+    expectSameEvents(fast.recentRef, lock.recentRef);
+    expectSameEvents(fast.recentDut, lock.recentDut);
+    return fast.passed;
+}
+
+TEST(Cosim, CompareSinkMatchesLockStep)
+{
+    // The differential gate of the compare-sink path. Capping the
+    // budget keeps the matrix to seconds and makes the long
+    // workloads cover the step-limit replay; most extracted subsets
+    // trap on other workloads, which covers the DUT-trap replay.
+    constexpr uint64_t kMaxSteps = 200'000;
+    std::vector<Program> programs;
+    std::vector<InstrSubset> subsets = {InstrSubset::fullRv32e()};
+    for (const Workload &w : allWorkloads()) {
+        programs.push_back(
+            minic::compile(w.source, minic::OptLevel::O2).program);
+        subsets.push_back(InstrSubset::fromProgram(programs.back()));
+    }
+    size_t passed = 0;
+    for (size_t p = 0; p < programs.size(); ++p) {
+        SCOPED_TRACE(allWorkloads()[p].name);
+        for (size_t s = 0; s < subsets.size(); ++s) {
+            SCOPED_TRACE(::testing::Message() << "subset " << s);
+            passed += expectSameCosim(programs[p], subsets[s],
+                                      kMaxSteps);
+        }
+    }
+    EXPECT_GT(passed, 0u); // the compare sink's own pass is covered
+
+    // Budgets around the exact instret of the three shortest
+    // workloads on their own subsets: one short of the halt must
+    // replay the step limit, the exact instret must pass.
+    std::vector<std::pair<uint64_t, size_t>> by_instret;
+    for (size_t p = 0; p < programs.size(); ++p) {
+        Rissp chip(subsets[p + 1], "budget");
+        chip.reset(programs[p]);
+        by_instret.emplace_back(chip.run(100'000'000).instret, p);
+    }
+    std::sort(by_instret.begin(), by_instret.end());
+    for (size_t i = 0; i < 3; ++i) {
+        const auto [instret, p] = by_instret[i];
+        SCOPED_TRACE(allWorkloads()[p].name);
+        for (uint64_t steps : {uint64_t{1}, instret - 1, instret,
+                               instret + 1})
+            expectSameCosim(programs[p], subsets[p + 1], steps);
+    }
+
+    for (int seed = 0; seed < 32; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        const InstrSubset &subset = subsets[seed % subsets.size()];
+        expectSameCosim(randomProgram(0xD1FF0000u + seed, 200,
+                                      InstrSubset::fullRv32e()),
+                        seed % 2 ? subset : subsets[0], 100'000);
+    }
+
+    std::vector<Program> directed = wrappingAccessPrograms();
+    directed.push_back(loadToX0Program());
+    directed.push_back(selfModifyingWordProgram());
+    directed.push_back(selfModifyingByteProgram());
+    for (const Program &program : directed)
+        expectSameCosim(program, InstrSubset::fullRv32e(), 1000);
 }
 
 TEST(Cosim, DivergenceKeepsRecentEventContext)
