@@ -163,33 +163,19 @@ main(int argc, char **argv)
         minic::compile(kLoopSrc, minic::OptLevel::O2);
     InstrSubset subset = InstrSubset::fromProgram(cr.program);
 
-    // Reference ISS instruction throughput — the default-dispatch
-    // row tracks the historical trajectory; the per-mode rows pin
-    // the switch-vs-threaded ratio (CI's soft perf gate).
+    // Reference ISS instruction throughput.
     {
         RefSim sim;
         bench("refsim_run", "instret", [&] {
             sim.reset(cr.program);
             return sim.run(10'000'000).instret;
         });
-        SimRunOptions opts;
-        opts.maxSteps = 10'000'000;
-        opts.dispatch = DispatchMode::Switch;
-        bench("refsim_run_switch", "instret", [&] {
-            sim.reset(cr.program);
-            return sim.run(opts).instret;
-        });
-        opts.dispatch = DispatchMode::Threaded;
-        bench("refsim_run_threaded", "instret", [&] {
-            sim.reset(cr.program);
-            return sim.run(opts).instret;
-        });
     }
 
     // RISSP cycle-simulator throughput: default (subset-specialized
     // interpreter), the gate-level structural engine (what run()
     // always was before specialization), and the specialized core
-    // under an explicitly resolved dispatch mode.
+    // through the options entry point.
     {
         Rissp chip(subset, "bench");
         bench("rissp_run", "instret", [&] {

@@ -119,6 +119,7 @@ struct Expr
     std::vector<ExprPtr> kids;
     Type ty;                 ///< result type
     Symbol *sym = nullptr;   ///< Var/Call binding
+    int height = 1;          ///< levels in this subtree (leaf = 1)
 };
 
 /** One local declaration inside a Decl statement. */

@@ -119,6 +119,42 @@ class Parser
         throw CompileError(peek().line, msg);
     }
 
+    // ---- nesting limits (kMaxNesting) ----
+
+    /** Holds one level of nesting for its lifetime. */
+    class Nested
+    {
+      public:
+        explicit Nested(Parser &parser) : p(parser)
+        {
+            if (p.depth == kMaxNesting)
+                p.errorHere(strFormat("nesting deeper than %d levels",
+                                      kMaxNesting));
+            ++p.depth;
+        }
+        ~Nested() { --p.depth; }
+        Nested(const Nested &) = delete;
+        Nested &operator=(const Nested &) = delete;
+
+      private:
+        Parser &p;
+    };
+
+    /** Append @p kid to @p parent, keeping the parent's tree height
+     *  within kMaxNesting. */
+    static void
+    adopt(Expr &parent, ExprPtr kid)
+    {
+        if (kid->height >= parent.height) {
+            if (kid->height == kMaxNesting)
+                throw CompileError(parent.line, strFormat(
+                    "expression nested deeper than %d levels",
+                    kMaxNesting));
+            parent.height = kid->height + 1;
+        }
+        parent.kids.push_back(std::move(kid));
+    }
+
     // ---- scopes & symbols ----
 
     Symbol *
@@ -308,6 +344,7 @@ class Parser
     flattenBraces(std::vector<int64_t> &out)
     {
         // Opening brace already consumed.
+        Nested nested(*this);
         if (accept(Tok::RBrace))
             return;
         do {
@@ -423,6 +460,7 @@ class Parser
     StmtPtr
     parseStmt()
     {
+        Nested nested(*this);
         if (at(Tok::LBrace))
             return parseBlock();
         if (atTypeStart())
@@ -554,6 +592,7 @@ class Parser
     ExprPtr
     parseAssign()
     {
+        Nested nested(*this);
         ExprPtr lhs = parseCond();
         Tok t = peek().kind;
         if (t == Tok::Assign || compoundBase(t) != Tok::End) {
@@ -564,8 +603,8 @@ class Parser
             e->line = lhs->line;
             ExprPtr rhs = parseAssign();
             e->ty = lhs->ty;
-            e->kids.push_back(std::move(lhs));
-            e->kids.push_back(std::move(rhs));
+            adopt(*e, std::move(lhs));
+            adopt(*e, std::move(rhs));
             return e;
         }
         return lhs;
@@ -581,11 +620,15 @@ class Parser
         e->line = c->line;
         ExprPtr t = parseAssign();
         expect(Tok::Colon);
-        ExprPtr f = parseCond();
+        ExprPtr f;
+        {
+            Nested nested(*this);
+            f = parseCond();
+        }
         e->ty = t->ty;
-        e->kids.push_back(std::move(c));
-        e->kids.push_back(std::move(t));
-        e->kids.push_back(std::move(f));
+        adopt(*e, std::move(c));
+        adopt(*e, std::move(t));
+        adopt(*e, std::move(f));
         return e;
     }
 
@@ -604,8 +647,8 @@ class Parser
             e->op = t;
             e->line = lhs->line;
             typeBinary(*e, *lhs, *rhs);
-            e->kids.push_back(std::move(lhs));
-            e->kids.push_back(std::move(rhs));
+            adopt(*e, std::move(lhs));
+            adopt(*e, std::move(rhs));
             lhs = std::move(e);
         }
     }
@@ -690,12 +733,20 @@ class Parser
             throw CompileError(e.line, "assignment to non-lvalue");
     }
 
+    /** The operand of a prefix operator or cast: one level deeper. */
+    ExprPtr
+    parseOperand()
+    {
+        Nested nested(*this);
+        return parseUnary();
+    }
+
     ExprPtr
     parseUnary()
     {
         int line = peek().line;
         if (accept(Tok::Plus))
-            return parseUnary();
+            return parseOperand();
         if (at(Tok::Minus) || at(Tok::Tilde) || at(Tok::Bang) ||
             at(Tok::Star) || at(Tok::Amp) || at(Tok::PlusPlus) ||
             at(Tok::MinusMinus)) {
@@ -703,7 +754,7 @@ class Parser
             auto e = makeExpr(ExprKind::Unary);
             e->op = op;
             e->line = line;
-            ExprPtr k = parseUnary();
+            ExprPtr k = parseOperand();
             switch (op) {
               case Tok::Minus:
               case Tok::Tilde:
@@ -738,7 +789,7 @@ class Parser
               default:
                 panic("unreachable");
             }
-            e->kids.push_back(std::move(k));
+            adopt(*e, std::move(k));
             return e;
         }
         if (accept(Tok::KwSizeof)) {
@@ -769,7 +820,7 @@ class Parser
             e->line = line;
             e->castTy = t;
             e->ty = t;
-            e->kids.push_back(parseUnary());
+            adopt(*e, parseOperand());
             return e;
         }
         return parsePostfix();
@@ -805,8 +856,8 @@ class Parser
                     throw CompileError(idx->line,
                                        "subscript of non-array");
                 idx->ty = e->ty.subscripted();
-                idx->kids.push_back(std::move(e));
-                idx->kids.push_back(std::move(sub));
+                adopt(*idx, std::move(e));
+                adopt(*idx, std::move(sub));
                 e = std::move(idx);
             } else if (at(Tok::PlusPlus) || at(Tok::MinusMinus)) {
                 Tok op = advance().kind;
@@ -816,7 +867,7 @@ class Parser
                 u->postfix = true;
                 u->line = e->line;
                 u->ty = e->ty;
-                u->kids.push_back(std::move(e));
+                adopt(*u, std::move(e));
                 e = std::move(u);
             } else {
                 return e;
@@ -884,7 +935,7 @@ class Parser
         e->ty = sym->retType;
         if (!accept(Tok::RParen)) {
             do {
-                e->kids.push_back(parseAssign());
+                adopt(*e, parseAssign());
             } while (accept(Tok::Comma));
             expect(Tok::RParen);
         }
@@ -971,6 +1022,7 @@ class Parser
 
     std::vector<Token> toks;
     size_t pos = 0;
+    int depth = 0; ///< active Nested levels
     TranslationUnit unit;
     std::vector<std::unordered_map<std::string, Symbol *>> scopes;
     int nextSymId = 0;

@@ -21,7 +21,7 @@ Rissp::reset(const Program &program)
     const AddrSpan span = program.denseSpan();
     mem.reset(span.base, span.size);
     program.load(mem);
-    dec.build(program, mem);
+    dec.build(program, mem, ex.enabledOps());
     stopped = StopReason::Running;
     retired = 0;
     outWords.clear();
@@ -50,12 +50,13 @@ Rissp::step(const Mutation *mut)
 RetireEvent
 Rissp::stepFast()
 {
-    // The specialized switch core with a one-instruction budget: the
-    // single-step API (cosim's lock-step loop) inherits the fast
-    // path without paying the threaded core's per-entry table build.
+    // The interpreter core with a one-instruction budget, so the
+    // single-step API (cosim's lock-step loop) takes the fast path.
+    // Entry is cheap: the label table is static and the subset was
+    // applied at decode.
     stepScratch.clear();
     sim_detail::VectorSink sink{stepScratch};
-    runCoreSwitch(1, sink);
+    runCore(1, sink);
     return stepScratch.front();
 }
 
@@ -182,22 +183,9 @@ Rissp::stepGate(const Mutation *mut)
     return ev;
 }
 
-// Stamp out the interpreter cores (see the header in exec_core.inc),
-// specialized to this RISSP's subset through the hooks above.
+// Stamp out the interpreter core (see the header in exec_core.inc).
 #define RISSP_CORE_CLASS Rissp
-#define RISSP_CORE_NAME runCoreSwitch
-#define RISSP_CORE_THREADED 0
 #include "sim/exec_core.inc"
-#undef RISSP_CORE_NAME
-#undef RISSP_CORE_THREADED
-
-#if RISSP_HAS_COMPUTED_GOTO
-#define RISSP_CORE_NAME runCoreThreaded
-#define RISSP_CORE_THREADED 1
-#include "sim/exec_core.inc"
-#undef RISSP_CORE_NAME
-#undef RISSP_CORE_THREADED
-#endif
 #undef RISSP_CORE_CLASS
 
 RunResult
@@ -239,22 +227,12 @@ Rissp::run(const RisspRunOptions &options)
         return result;
     }
 
-    const DispatchMode mode = resolveDispatchMode(options.dispatch);
-    sim_detail::NullSink none;
-#if RISSP_HAS_COMPUTED_GOTO
-    if (mode == DispatchMode::Threaded) {
-        if (!options.trace)
-            return runCoreThreaded(options.maxSteps, none);
-        sim_detail::VectorSink trace{*options.trace};
-        return runCoreThreaded(options.maxSteps, trace);
+    if (!options.trace) {
+        sim_detail::NullSink none;
+        return runCore(options.maxSteps, none);
     }
-#else
-    (void)mode;
-#endif
-    if (!options.trace)
-        return runCoreSwitch(options.maxSteps, none);
     sim_detail::VectorSink trace{*options.trace};
-    return runCoreSwitch(options.maxSteps, trace);
+    return runCore(options.maxSteps, trace);
 }
 
 } // namespace rissp

@@ -33,10 +33,6 @@ struct RisspRunOptions
     /** Stop after this many instructions (StopReason::StepLimit). */
     uint64_t maxSteps = 100'000'000;
 
-    /** Interpreter core for the specialized engine (a pure
-     *  performance knob; all modes are bit-identical). */
-    DispatchMode dispatch = DispatchMode::Auto;
-
     /** When set, every RetireEvent is appended here. */
     std::vector<RetireEvent> *trace = nullptr;
 
@@ -83,7 +79,7 @@ class Rissp
     /** Run until halt/trap or @p maxSteps cycles. */
     RunResult run(uint64_t maxSteps = 100'000'000);
 
-    /** Run with explicit dispatch/trace/fault options. A fault (or
+    /** Run with explicit trace/fault options. A fault (or
      *  gateLevel) selects the gate-level engine; otherwise the
      *  subset-specialized interpreter core runs. */
     RunResult run(const RisspRunOptions &options);
@@ -96,7 +92,7 @@ class Rissp
      * compare the pair with eventsMatch() and push this RISSP's
      * record into @p monitor. Stops at the first mismatch or monitor
      * violation, at a halt or trap, or after @p maxSteps
-     * retirements. The dispatch core resolves like run()'s Auto.
+     * retirements.
      * @return true when this RISSP halted with every record matched
      *         and the monitor clean.
      */
@@ -127,21 +123,16 @@ class Rissp
     /** One instruction through the specialized core (mut == null). */
     RetireEvent stepFast();
 
-    // Interpreter cores over the pre-decoded text span, stamped out
-    // from sim/exec_core.inc — same statement of the semantics as
-    // RefSim's, specialized here to the generated subset.
+    // The interpreter core over the pre-decoded text span, stamped
+    // out from sim/exec_core.inc — same statement of the semantics as
+    // RefSim's. reset() decodes with the subset's op mask, so only
+    // stitched blocks have handlers.
     template <class Sink>
-    RunResult runCoreSwitch(uint64_t maxSteps, Sink &sink);
-    template <class Sink>
-    RunResult runCoreThreaded(uint64_t maxSteps, Sink &sink);
+    RunResult runCore(uint64_t maxSteps, Sink &sink);
 
-    // exec_core.inc hooks: only stitched blocks execute, every
-    // retire charges ModularEx's counters, and off-span execution
-    // goes through the gate-level engine.
-    bool coreTokenEnabled(uint8_t tok) const
-    {
-        return tok < kNumOps && ex.enabledOps()[tok];
-    }
+    // exec_core.inc hooks: every retire charges ModularEx's
+    // counters, and off-span execution goes through the gate-level
+    // engine.
     void coreNoteExec(uint8_t tok) const
     {
         ex.noteExec(static_cast<Op>(tok));

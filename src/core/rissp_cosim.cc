@@ -1,9 +1,9 @@
 /**
  * @file
- * Rissp::runAgainst: the interpreter cores stamped out with the
- * compare sink. They live in their own translation unit because gcc
+ * Rissp::runAgainst: the interpreter core stamped out with the
+ * compare sink. It lives in its own translation unit because gcc
  * budgets inlining per unit: instantiated next to the plain run()
- * cores in rissp.cc, these large cores made gcc stop inlining
+ * cores in rissp.cc, this large core made gcc stop inlining
  * Memory::storeWord into the plain cores' store handler.
  */
 
@@ -38,19 +38,7 @@ struct CompareSink
 } // namespace
 
 #define RISSP_CORE_CLASS Rissp
-#define RISSP_CORE_NAME runCoreSwitch
-#define RISSP_CORE_THREADED 0
 #include "sim/exec_core.inc"
-#undef RISSP_CORE_NAME
-#undef RISSP_CORE_THREADED
-
-#if RISSP_HAS_COMPUTED_GOTO
-#define RISSP_CORE_NAME runCoreThreaded
-#define RISSP_CORE_THREADED 1
-#include "sim/exec_core.inc"
-#undef RISSP_CORE_NAME
-#undef RISSP_CORE_THREADED
-#endif
 #undef RISSP_CORE_CLASS
 
 bool
@@ -58,14 +46,7 @@ Rissp::runAgainst(RefSim &ref, RvfiStreamChecker &monitor,
                   uint64_t maxSteps)
 {
     CompareSink sink{ref, monitor};
-    RunResult result;
-#if RISSP_HAS_COMPUTED_GOTO
-    if (resolveDispatchMode(DispatchMode::Auto) ==
-        DispatchMode::Threaded)
-        result = runCoreThreaded(maxSteps, sink);
-    else
-#endif
-        result = runCoreSwitch(maxSteps, sink);
+    const RunResult result = runCore(maxSteps, sink);
     return sink.agreed && result.reason == StopReason::Halted;
 }
 

@@ -29,21 +29,29 @@ runFrom(Op op, uint16_t next)
 } // namespace
 
 void
-DecodedProgram::build(const Program &program, const Memory &mem)
+DecodedProgram::build(const Program &program, const Memory &mem,
+                      const OpMask &enabledOps)
 {
+    enabled = enabledOps;
     textBase = program.textBase;
     textSize = program.textSize & ~3u;
     const uint32_t words = textSize / 4;
-    instrs.clear();
-    instrs.reserve(words);
-    toks.clear();
-    toks.reserve(words);
-    for (uint32_t off = 0; off < textSize; off += 4) {
-        instrs.push_back(decode(mem.loadWord(textBase + off)));
-        toks.push_back(static_cast<uint8_t>(instrs.back().op));
-    }
+    instrs.resize(words);
+    toks.resize(words);
+    for (uint32_t w = 0; w < words; ++w)
+        decodeWord(mem, w);
     runs.assign(words, 1);
     recomputeRuns(0, words);
+}
+
+void
+DecodedProgram::decodeWord(const Memory &mem, uint32_t w)
+{
+    const Instr in = decode(mem.loadWord(textBase + w * 4));
+    instrs[w] = in;
+    toks[w] = in.valid() && enabled[static_cast<size_t>(in.op)]
+        ? static_cast<uint8_t>(in.op)
+        : kTrapToken;
 }
 
 void
@@ -68,10 +76,8 @@ DecodedProgram::invalidate(const Memory &mem, uint32_t addr,
     const uint64_t limit = textBase + static_cast<uint64_t>(textSize);
     const uint32_t last = static_cast<uint32_t>(
         ((end < limit ? end : limit) - textBase + 3) / 4);
-    for (uint32_t w = first; w < last; ++w) {
-        instrs[w] = decode(mem.loadWord(textBase + w * 4));
-        toks[w] = static_cast<uint8_t>(instrs[w].op);
-    }
+    for (uint32_t w = first; w < last; ++w)
+        decodeWord(mem, w);
     recomputeRuns(first, last);
 }
 

@@ -14,8 +14,11 @@
  * two side arrays, maintained in lock-step with the decoded words:
  *
  *  - a handler token per word — the Op as a small integer, with
- *    invalid encodings mapped to the trap token — which is what the
- *    threaded core indexes its label table with;
+ *    invalid encodings and ops outside the owning core's enabled set
+ *    mapped to the trap token — which is what the core indexes its
+ *    label table with. The subset is applied here, once per decode,
+ *    so an op whose block is not stitched in has no handler, exactly
+ *    like the hardware;
  *  - a superblock run length per word: how many instructions starting
  *    there execute strictly straight-line (no branch/jump/halt/
  *    invalid) before a control transfer can occur. The cores use it
@@ -35,6 +38,7 @@
 #ifndef RISSP_SIM_DECODED_PROGRAM_HH
 #define RISSP_SIM_DECODED_PROGRAM_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -45,6 +49,9 @@
 namespace rissp
 {
 
+/** Per-op enable flags, indexed by `(size_t)Op`. */
+using OpMask = std::array<bool, kNumOps>;
+
 /** One-time decode of a program's text span, with invalidation. */
 class DecodedProgram
 {
@@ -52,9 +59,11 @@ class DecodedProgram
     /**
      * Decode the text span of @p program from @p mem (which must
      * already hold the loaded image, so that later re-decodes and the
-     * initial decode read the same bytes).
+     * initial decode read the same bytes). Ops not set in @p enabled
+     * get the trap token, here and in every later invalidate().
      */
-    void build(const Program &program, const Memory &mem);
+    void build(const Program &program, const Memory &mem,
+               const OpMask &enabled);
 
     /** Drop the cache (fetch() returns nullptr until rebuilt). */
     void clear();
@@ -89,8 +98,9 @@ class DecodedProgram
     uint32_t base() const { return textBase; }
     uint32_t size() const { return textSize; }
 
-    /** Handler token for text word @p idx: `(uint8_t)Op`, with
-     *  `(uint8_t)Op::Invalid` (== kNumOps) as the trap token. */
+    /** Handler token for text word @p idx: `(uint8_t)Op` for an
+     *  enabled op, `(uint8_t)Op::Invalid` (== kNumOps) — the trap
+     *  token — for an invalid encoding or a disabled op. */
     static constexpr uint8_t kTrapToken =
         static_cast<uint8_t>(Op::Invalid);
 
@@ -105,10 +115,14 @@ class DecodedProgram
     const uint16_t *runLenData() const { return runs.data(); }
 
   private:
+    /** Decode the word at text index @p w into both arrays. */
+    void decodeWord(const Memory &mem, uint32_t w);
+
     /** Recompute runs[first, last) and ripple the change into the
      *  straight-line words before @p first. */
     void recomputeRuns(uint32_t first, uint32_t last);
 
+    OpMask enabled{};
     uint32_t textBase = 0;
     uint32_t textSize = 0;         ///< bytes; always a multiple of 4
     std::vector<Instr> instrs;     ///< one per text word

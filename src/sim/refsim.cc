@@ -6,6 +6,18 @@
 namespace rissp
 {
 
+namespace
+{
+
+/** The reference decodes with every op enabled. */
+constexpr OpMask kAllOps = [] {
+    OpMask all{};
+    all.fill(true);
+    return all;
+}();
+
+} // namespace
+
 RefSim::RefSim()
 {
     regs.fill(0);
@@ -19,7 +31,7 @@ RefSim::reset(const Program &program)
     const AddrSpan span = program.denseSpan();
     mem.reset(span.base, span.size);
     program.load(mem);
-    dec.build(program, mem);
+    dec.build(program, mem, kAllOps);
     stopped = StopReason::Running;
     retired = 0;
     outWords.clear();
@@ -227,22 +239,9 @@ RefSim::step()
     return ev;
 }
 
-// Stamp out the interpreter cores (see the header in exec_core.inc):
-// one statement of the semantics, two dispatch mechanisms.
+// Stamp out the interpreter core (see the header in exec_core.inc).
 #define RISSP_CORE_CLASS RefSim
-#define RISSP_CORE_NAME runCoreSwitch
-#define RISSP_CORE_THREADED 0
 #include "sim/exec_core.inc"
-#undef RISSP_CORE_NAME
-#undef RISSP_CORE_THREADED
-
-#if RISSP_HAS_COMPUTED_GOTO
-#define RISSP_CORE_NAME runCoreThreaded
-#define RISSP_CORE_THREADED 1
-#include "sim/exec_core.inc"
-#undef RISSP_CORE_NAME
-#undef RISSP_CORE_THREADED
-#endif
 #undef RISSP_CORE_CLASS
 
 RunResult
@@ -256,22 +255,12 @@ RefSim::run(uint64_t maxSteps)
 RunResult
 RefSim::run(const SimRunOptions &options)
 {
-    const DispatchMode mode = resolveDispatchMode(options.dispatch);
-    sim_detail::NullSink none;
-#if RISSP_HAS_COMPUTED_GOTO
-    if (mode == DispatchMode::Threaded) {
-        if (!options.trace)
-            return runCoreThreaded(options.maxSteps, none);
-        sim_detail::VectorSink trace{*options.trace};
-        return runCoreThreaded(options.maxSteps, trace);
+    if (!options.trace) {
+        sim_detail::NullSink none;
+        return runCore(options.maxSteps, none);
     }
-#else
-    (void)mode;
-#endif
-    if (!options.trace)
-        return runCoreSwitch(options.maxSteps, none);
     sim_detail::VectorSink trace{*options.trace};
-    return runCoreSwitch(options.maxSteps, trace);
+    return runCore(options.maxSteps, trace);
 }
 
 } // namespace rissp

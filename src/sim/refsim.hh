@@ -7,6 +7,12 @@
  * co-simulation against the generated RISSP. It is deliberately written
  * independently of the instruction hardware block library so the two
  * implementations can check each other.
+ *
+ * Two engines share the machine state: step() is the hand-written
+ * golden statement of the semantics, one switch over the op; run()
+ * drives the threaded interpreter core over the pre-decoded text
+ * (sim/exec_core.inc, shared with the RISSP), which must retire the
+ * identical RVFI stream (tests/test_dispatch.cc).
  */
 
 #ifndef RISSP_SIM_REFSIM_HH
@@ -69,12 +75,6 @@ struct SimRunOptions
     /** Stop after this many instructions (StopReason::StepLimit). */
     uint64_t maxSteps = 100'000'000;
 
-    /** Which interpreter core to drive (sim/dispatch.hh); Auto
-     *  resolves via the RISSP_DISPATCH env var, then the build
-     *  default, then computed-goto detection. The cores are
-     *  bit-identical, so this is purely a performance knob. */
-    DispatchMode dispatch = DispatchMode::Auto;
-
     /** When set, every RetireEvent is appended here (the same RVFI
      *  stream the single-step API produces). */
     std::vector<RetireEvent> *trace = nullptr;
@@ -99,9 +99,9 @@ class RefSim
     /** Run until halt/trap or @p maxSteps instructions. */
     RunResult run(uint64_t maxSteps = 100'000'000);
 
-    /** Run with explicit dispatch/trace options. All dispatch modes
-     *  retire the identical RVFI stream; step() remains the
-     *  independent golden statement of the semantics. */
+    /** Run with explicit options. The interpreter core retires the
+     *  same RVFI stream as step(), which remains the independent
+     *  golden statement of the semantics. */
     RunResult run(const SimRunOptions &options);
 
     uint32_t pc() const { return pcReg; }
@@ -127,20 +127,13 @@ class RefSim
     const std::string &outputText() const { return outText; }
 
   private:
-    // Interpreter cores over the pre-decoded text span, stamped out
-    // from sim/exec_core.inc (one statement of the semantics, two
-    // dispatch mechanisms).
+    // The interpreter core over the pre-decoded text span, stamped
+    // out from sim/exec_core.inc.
     template <class Sink>
-    RunResult runCoreSwitch(uint64_t maxSteps, Sink &sink);
-    template <class Sink>
-    RunResult runCoreThreaded(uint64_t maxSteps, Sink &sink);
+    RunResult runCore(uint64_t maxSteps, Sink &sink);
 
-    // exec_core.inc hooks: the reference executes every valid op,
-    // counts nothing, and falls back to step() off-span.
-    static bool coreTokenEnabled(uint8_t tok)
-    {
-        return tok < kNumOps;
-    }
+    // exec_core.inc hooks: the reference counts nothing and falls
+    // back to step() off-span (it decodes with every op enabled).
     static void coreNoteExec(uint8_t) {}
     RetireEvent coreSlowStep() { return step(); }
 

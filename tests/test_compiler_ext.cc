@@ -14,6 +14,8 @@
 #include "compiler/passes.hh"
 #include "core/subset.hh"
 #include "sim/refsim.hh"
+#include "util/logging.hh"
+#include "util/status.hh"
 
 namespace rissp
 {
@@ -217,6 +219,93 @@ TEST(CompilerExt, IrDumpIsStable)
     std::string dump = minic::dumpIr(lowered.ir.funcs[0]);
     EXPECT_NE(dump.find("func main"), std::string::npos);
     EXPECT_NE(dump.find("ret"), std::string::npos);
+}
+
+/** Repeat @p piece @p n times. */
+std::string
+repeat(const std::string &piece, int n)
+{
+    std::string out;
+    out.reserve(piece.size() * n);
+    for (int i = 0; i < n; ++i)
+        out += piece;
+    return out;
+}
+
+/** Expect @p src to be refused as too deeply nested, at @p line,
+ *  through the status-returning entry point user sources take. */
+void
+expectTooDeep(const std::string &src, int line)
+{
+    const Result<minic::CompileResult> r =
+        minic::tryCompile(src, OptLevel::O2);
+    ASSERT_FALSE(r.isOk());
+    EXPECT_EQ(r.code(), ErrorCode::CompileError);
+    const std::string &msg = r.status().message();
+    EXPECT_EQ(msg.rfind(strFormat("line %d: ", line), 0), 0u) << msg;
+    EXPECT_NE(msg.find("deeper than 256 levels"), std::string::npos)
+        << msg;
+}
+
+// The hostile shapes below each overflowed the stack of the
+// recursive-descent parser, or of the passes walking its tree,
+// before the nesting cap existed.
+
+TEST(CompilerNesting, DeepParenthesesAreRefused)
+{
+    expectTooDeep("int main(void) {\n  return " +
+                      repeat("(", 200'000) + "1" +
+                      repeat(")", 200'000) + ";\n}\n",
+                  2);
+}
+
+TEST(CompilerNesting, DeepUnaryChainIsRefused)
+{
+    expectTooDeep("int main(void) {\n  int x = 1;\n  return " +
+                      repeat("- ", 200'000) + "x;\n}\n",
+                  3);
+}
+
+TEST(CompilerNesting, TallLeftDeepChainIsRefused)
+{
+    // Flat source, but the left-associative chain builds a tree as
+    // tall as it is long.
+    expectTooDeep("int main(void) {\n  int a = 1;\n  return a" +
+                      repeat("+a", 200'000) + ";\n}\n",
+                  3);
+}
+
+TEST(CompilerNesting, DeepIfNestIsRefused)
+{
+    expectTooDeep("int main(void) {\n  int x = 0;\n  " +
+                      repeat("if (x) ", 100'000) + "x = 1;\n" +
+                      "  return x;\n}\n",
+                  3);
+}
+
+TEST(CompilerNesting, SourcesAtTheCapCompile)
+{
+    ASSERT_EQ(minic::kMaxNesting, 256);
+    // Statements nested exactly kMaxNesting deep: the outermost
+    // block is the body's level-1 statement.
+    const int n = minic::kMaxNesting;
+    const std::string blocks = "int main(void) {\n" +
+        repeat("{", n) + "\n" + repeat("}", n) + "\n  return 7;\n}\n";
+    auto cr = minic::compile(blocks, OptLevel::O2);
+    RefSim sim;
+    sim.reset(cr.program);
+    EXPECT_EQ(sim.run().exitCode, 7u);
+    expectTooDeep("int main(void) {\n" + repeat("{", n + 1) + "\n" +
+                      repeat("}", n + 1) + "\n  return 7;\n}\n",
+                  2);
+
+    // An expression tree exactly kMaxNesting tall: a left-deep chain
+    // of n - 1 additions over n leaves.
+    EXPECT_EQ(runExpr("1" + repeat("+1", n - 1)),
+              static_cast<uint32_t>(n));
+    expectTooDeep("int main(void) { return 1" + repeat("+1", n) +
+                      "; }",
+                  1);
 }
 
 } // namespace

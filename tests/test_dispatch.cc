@@ -1,19 +1,19 @@
 /**
  * @file
- * Tests for the interpreter dispatch rebuild (sim/dispatch.hh,
- * sim/exec_core.inc): every dispatch variant of both simulators must
- * retire a byte-identical RVFI stream, the RISSP mutation contract
- * must hold under all of them, and mode selection itself is pinned.
+ * Tests for the shared interpreter core (sim/exec_core.inc): run()
+ * and the RISSP's plain step() of both simulators must retire a
+ * byte-identical RVFI stream to the golden engines, the subset must
+ * trap exactly where the structural model does (also after
+ * self-modifying code), and the RISSP mutation contract must hold.
  *
- * The golden stream is always the one the single-step APIs produce:
- * RefSim::step() is the hand-written reference switch, and the
- * RISSP's gate-level engine is the structural model. The interpreter
- * cores are only allowed to be faster, never different.
+ * The golden stream is always the one the legacy single-step engines
+ * produce: RefSim::step() is the hand-written reference switch, and
+ * the RISSP's gate-level engine is the structural model. The
+ * interpreter core is only allowed to be faster, never different.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -140,18 +140,17 @@ sameSnapshot(const RunSnapshot &a, const RunSnapshot &b)
     return ::testing::AssertionSuccess();
 }
 
-/** Golden reference: drive RefSim::step() by hand (the independent
- *  switch statement of the semantics, untouched by the dispatch
- *  rebuild), replicating run()'s stopping rules. */
+/** Drive @p step — one instruction of @p sim — by hand, replicating
+ *  run()'s stopping rules; @p retired reads the instret counter. */
+template <class Sim, class Step>
 RunSnapshot
-refGolden(const Program &program, uint64_t max_steps)
+stepByHand(const Sim &sim, uint64_t max_steps, Step step,
+           uint64_t (Sim::*retired)() const)
 {
-    RefSim sim;
-    sim.reset(program);
     RunSnapshot snap;
     snap.result.reason = StopReason::StepLimit;
     for (uint64_t i = 0; i < max_steps; ++i) {
-        const RetireEvent ev = sim.step();
+        const RetireEvent ev = step();
         snap.trace.push_back(ev);
         if (ev.halt) {
             snap.result.reason = StopReason::Halted;
@@ -163,7 +162,7 @@ refGolden(const Program &program, uint64_t max_steps)
             break;
         }
     }
-    snap.result.instret = sim.instret();
+    snap.result.instret = (sim.*retired)();
     snap.result.stopPc = snap.result.reason == StopReason::StepLimit
                              ? sim.pc()
                              : snap.trace.back().pc;
@@ -178,15 +177,25 @@ refGolden(const Program &program, uint64_t max_steps)
     return snap;
 }
 
+/** Golden reference: RefSim::step() (the independent switch
+ *  statement of the semantics) by hand. */
 RunSnapshot
-refRun(const Program &program, uint64_t max_steps, DispatchMode mode)
+refGolden(const Program &program, uint64_t max_steps)
+{
+    RefSim sim;
+    sim.reset(program);
+    return stepByHand(sim, max_steps, [&] { return sim.step(); },
+                      &RefSim::instret);
+}
+
+RunSnapshot
+refRun(const Program &program, uint64_t max_steps)
 {
     RefSim sim;
     sim.reset(program);
     RunSnapshot snap;
     SimRunOptions options;
     options.maxSteps = max_steps;
-    options.dispatch = mode;
     options.trace = &snap.trace;
     snap.result = sim.run(options);
     for (unsigned r = 0; r < kNumRegsE; ++r)
@@ -218,6 +227,39 @@ risspRun(const Program &program, const InstrSubset &subset,
     return snap;
 }
 
+/** Rissp::step(@p mut) by hand. With @p mut null each step is the
+ *  interpreter core with a one-instruction budget; otherwise the
+ *  gate-level engine. */
+RunSnapshot
+risspStepRun(const Program &program, const InstrSubset &subset,
+             uint64_t max_steps, const Mutation *mut = nullptr)
+{
+    Rissp chip(subset, "dispatch-step");
+    chip.reset(program);
+    return stepByHand(chip, max_steps, [&] { return chip.step(mut); },
+                      &Rissp::cycles);
+}
+
+/** The RISSP's fast engines — run() and the plain step() loop —
+ *  against its gate-level golden on one program; returns the
+ *  golden. */
+RunSnapshot
+expectRisspEnginesAgree(const Program &program,
+                        const InstrSubset &subset, uint64_t max_steps)
+{
+    RisspRunOptions gate;
+    gate.gateLevel = true;
+    const RunSnapshot dut_golden =
+        risspRun(program, subset, max_steps, gate);
+    EXPECT_TRUE(sameSnapshot(
+        dut_golden, risspRun(program, subset, max_steps, {})))
+        << "rissp interpreter core diverges from gate level";
+    EXPECT_TRUE(sameSnapshot(
+        dut_golden, risspStepRun(program, subset, max_steps)))
+        << "rissp step() diverges from gate level";
+    return dut_golden;
+}
+
 /** Every engine of both simulators against the two golden streams
  *  (RefSim::step(), RISSP gate-level) on one program. */
 void
@@ -226,26 +268,11 @@ expectAllEnginesAgree(const Program &program,
                       uint64_t max_steps = 100'000)
 {
     const RunSnapshot golden = refGolden(program, max_steps);
-    EXPECT_TRUE(sameSnapshot(
-        golden, refRun(program, max_steps, DispatchMode::Switch)))
-        << "refsim switch core diverges from step()";
-    EXPECT_TRUE(sameSnapshot(
-        golden, refRun(program, max_steps, DispatchMode::Threaded)))
-        << "refsim threaded core diverges from step()";
+    EXPECT_TRUE(sameSnapshot(golden, refRun(program, max_steps)))
+        << "refsim interpreter core diverges from step()";
 
-    RisspRunOptions gate;
-    gate.gateLevel = true;
     const RunSnapshot dut_golden =
-        risspRun(program, subset, max_steps, gate);
-    RisspRunOptions fast;
-    fast.dispatch = DispatchMode::Switch;
-    EXPECT_TRUE(sameSnapshot(
-        dut_golden, risspRun(program, subset, max_steps, fast)))
-        << "rissp specialized switch core diverges from gate level";
-    fast.dispatch = DispatchMode::Threaded;
-    EXPECT_TRUE(sameSnapshot(
-        dut_golden, risspRun(program, subset, max_steps, fast)))
-        << "rissp specialized threaded core diverges from gate level";
+        expectRisspEnginesAgree(program, subset, max_steps);
 
     // When the whole subset executes cleanly the two simulators also
     // agree with each other (the cosim suite fuzzes that broadly;
@@ -254,57 +281,6 @@ expectAllEnginesAgree(const Program &program,
         EXPECT_TRUE(sameTrace(golden.trace, dut_golden.trace))
             << "reference and gate-level RISSP streams differ";
     }
-}
-
-TEST(DispatchMode, NamesRoundTrip)
-{
-    for (DispatchMode mode :
-         {DispatchMode::Auto, DispatchMode::Switch,
-          DispatchMode::Threaded}) {
-        const std::optional<DispatchMode> parsed =
-            dispatchModeFromName(dispatchModeName(mode));
-        ASSERT_TRUE(parsed.has_value());
-        EXPECT_EQ(*parsed, mode);
-    }
-    EXPECT_FALSE(dispatchModeFromName("fastest").has_value());
-    EXPECT_FALSE(dispatchModeFromName("").has_value());
-}
-
-TEST(DispatchMode, ResolutionNeverReturnsAuto)
-{
-    const DispatchMode resolved =
-        resolveDispatchMode(DispatchMode::Auto);
-    EXPECT_NE(resolved, DispatchMode::Auto);
-    EXPECT_EQ(resolveDispatchMode(DispatchMode::Switch),
-              DispatchMode::Switch);
-    if (threadedDispatchSupported())
-        EXPECT_EQ(resolveDispatchMode(DispatchMode::Threaded),
-                  DispatchMode::Threaded);
-    else
-        EXPECT_EQ(resolveDispatchMode(DispatchMode::Threaded),
-                  DispatchMode::Switch);
-}
-
-TEST(DispatchMode, EnvOverrideWins)
-{
-    // The tier-1 suite runs single-threaded per process, so the
-    // setenv/unsetenv pair here cannot race another getenv.
-    ASSERT_EQ(setenv("RISSP_DISPATCH", "switch", 1), 0);
-    EXPECT_EQ(resolveDispatchMode(DispatchMode::Auto),
-              DispatchMode::Switch);
-    // An explicit request still beats the environment.
-    if (threadedDispatchSupported()) {
-        EXPECT_EQ(resolveDispatchMode(DispatchMode::Threaded),
-                  DispatchMode::Threaded);
-    }
-    ASSERT_EQ(setenv("RISSP_DISPATCH", "threaded", 1), 0);
-    if (threadedDispatchSupported())
-        EXPECT_EQ(resolveDispatchMode(DispatchMode::Auto),
-                  DispatchMode::Threaded);
-    else
-        EXPECT_EQ(resolveDispatchMode(DispatchMode::Auto),
-                  DispatchMode::Switch);
-    ASSERT_EQ(unsetenv("RISSP_DISPATCH"), 0);
 }
 
 TEST(DispatchDiff, StraightLineHalt)
@@ -375,15 +351,8 @@ TEST(DispatchDiff, OutOfSubsetTrapRecordsOperands)
     )");
     InstrSubset no_sub = InstrSubset::fromNames(
         {"addi", "add", "lui", "sw"});
-    RisspRunOptions gate;
-    gate.gateLevel = true;
-    const RunSnapshot golden = risspRun(p, no_sub, 100, gate);
+    const RunSnapshot golden = expectRisspEnginesAgree(p, no_sub, 100);
     ASSERT_EQ(golden.result.reason, StopReason::Trapped);
-    RisspRunOptions fast;
-    fast.dispatch = DispatchMode::Switch;
-    EXPECT_TRUE(sameSnapshot(golden, risspRun(p, no_sub, 100, fast)));
-    fast.dispatch = DispatchMode::Threaded;
-    EXPECT_TRUE(sameSnapshot(golden, risspRun(p, no_sub, 100, fast)));
     // The trap event records the operand reads (RVFI contract).
     const RetireEvent &trap_ev = golden.trace.back();
     EXPECT_TRUE(trap_ev.trap);
@@ -394,9 +363,9 @@ TEST(DispatchDiff, OutOfSubsetTrapRecordsOperands)
 TEST(DispatchDiff, SmcMidSuperblockInvalidates)
 {
     // The store rewrites an instruction *later in the same
-    // straight-line superblock*: the threaded core must leave the
-    // block at the store and re-enter through the invalidated
-    // decode, or it would retire the stale instruction.
+    // straight-line superblock*: the core must leave the block at
+    // the store and re-enter through the invalidated decode, or it
+    // would retire the stale instruction.
     const uint32_t patched = encodeI(Op::Addi, 12, 0, 99);
     Program p = assemble(strFormat(R"(
         la a0, patch
@@ -408,7 +377,7 @@ TEST(DispatchDiff, SmcMidSuperblockInvalidates)
         ecall
     )", static_cast<int32_t>(patched)));
     expectAllEnginesAgree(p, InstrSubset::fullRv32e());
-    const RunSnapshot done = refRun(p, 100, DispatchMode::Threaded);
+    const RunSnapshot done = refRun(p, 100);
     EXPECT_EQ(done.regs[12], 99u);
 
     // Sub-word patch (imm rewritten through a byte store).
@@ -422,8 +391,35 @@ TEST(DispatchDiff, SmcMidSuperblockInvalidates)
         ecall
     )");
     expectAllEnginesAgree(pb, InstrSubset::fullRv32e());
-    const RunSnapshot doneb = refRun(pb, 100, DispatchMode::Threaded);
+    const RunSnapshot doneb = refRun(pb, 100);
     EXPECT_EQ(doneb.regs[12], 672u);
+
+    // The patch brings in an op outside the RISSP's subset: the
+    // re-decode must apply the subset too, so the patched word traps
+    // (with its operand reads recorded) instead of executing.
+    const uint32_t sub_word = encodeR(Op::Sub, 12, 10, 11);
+    Program ps = assemble(strFormat(R"(
+        la a0, patch
+        li a1, %d
+        sw a1, 0(a0)
+        addi a3, zero, 1
+    patch:
+        addi a2, zero, 1
+        ecall
+    )", static_cast<int32_t>(sub_word)));
+    const InstrSubset no_sub =
+        InstrSubset::fromNames({"auipc", "addi", "lui", "sw"});
+    ASSERT_FALSE(no_sub.contains(Op::Sub));
+    const RunSnapshot trapped = expectRisspEnginesAgree(ps, no_sub, 100);
+    ASSERT_EQ(trapped.result.reason, StopReason::Trapped);
+    const RetireEvent &trap_ev = trapped.trace.back();
+    EXPECT_TRUE(trap_ev.trap);
+    EXPECT_EQ(trap_ev.op, Op::Sub);
+    EXPECT_EQ(trap_ev.raw, sub_word);
+    EXPECT_EQ(trap_ev.rs1, 10);
+    EXPECT_EQ(trap_ev.rs2, 11);
+    EXPECT_EQ(trap_ev.rs2Data, sub_word);
+    EXPECT_EQ(trapped.regs[12], 0u);
 }
 
 TEST(DispatchDiff, SmcCanExtendASuperblock)
@@ -431,7 +427,7 @@ TEST(DispatchDiff, SmcCanExtendASuperblock)
     // The patch turns a *control* instruction into a straight-line
     // one, lengthening the run the store sits in — the run-length
     // repair after invalidate() must extend backwards across the
-    // store or the threaded core under-fetches.
+    // store or the core under-fetches.
     const uint32_t nopw = encodeI(Op::Addi, 0, 0, 0);
     Program p = assemble(strFormat(R"(
         la a0, patch
@@ -446,7 +442,7 @@ TEST(DispatchDiff, SmcCanExtendASuperblock)
     )", static_cast<int32_t>(nopw)));
     expectAllEnginesAgree(p, InstrSubset::fullRv32e());
     // The patched path falls through the former jump.
-    const RunSnapshot done = refRun(p, 100, DispatchMode::Threaded);
+    const RunSnapshot done = refRun(p, 100);
     EXPECT_EQ(done.regs[12], 12u);
 }
 
@@ -467,7 +463,7 @@ TEST(DispatchDiff, OffSpanExecutionFallsBack)
     )", static_cast<int32_t>(insn0),
         static_cast<int32_t>(ecallw)));
     expectAllEnginesAgree(p, InstrSubset::fullRv32e());
-    const RunSnapshot done = refRun(p, 100, DispatchMode::Threaded);
+    const RunSnapshot done = refRun(p, 100);
     EXPECT_EQ(done.result.reason, StopReason::Halted);
     EXPECT_EQ(done.regs[12], 55u);
 }
@@ -490,25 +486,10 @@ TEST(DispatchDiff, StepLimitBoundarySweep)
     const InstrSubset full = InstrSubset::fullRv32e();
     std::vector<RetireEvent> prev;
     for (uint64_t budget = 0; budget <= 16; ++budget) {
+        SCOPED_TRACE(testing::Message() << "budget " << budget);
         const RunSnapshot golden = refGolden(p, budget);
-        EXPECT_TRUE(sameSnapshot(
-            golden, refRun(p, budget, DispatchMode::Switch)))
-            << "budget " << budget;
-        EXPECT_TRUE(sameSnapshot(
-            golden, refRun(p, budget, DispatchMode::Threaded)))
-            << "budget " << budget;
-        RisspRunOptions gate;
-        gate.gateLevel = true;
-        const RunSnapshot dut_golden = risspRun(p, full, budget, gate);
-        RisspRunOptions fast;
-        fast.dispatch = DispatchMode::Threaded;
-        EXPECT_TRUE(sameSnapshot(dut_golden,
-                                 risspRun(p, full, budget, fast)))
-            << "budget " << budget;
-        fast.dispatch = DispatchMode::Switch;
-        EXPECT_TRUE(sameSnapshot(dut_golden,
-                                 risspRun(p, full, budget, fast)))
-            << "budget " << budget;
+        EXPECT_TRUE(sameSnapshot(golden, refRun(p, budget)));
+        expectRisspEnginesAgree(p, full, budget);
         // Monotone prefix property across budgets.
         ASSERT_GE(golden.trace.size(), prev.size());
         EXPECT_TRUE(sameTrace(
@@ -541,12 +522,9 @@ TEST_P(DispatchFuzz, RandomProgramsAreEngineInvariant)
     expectAllEnginesAgree(prog, subset);
 
     // The interpreter streams also satisfy the RVFI monitors.
-    const RunSnapshot t =
-        refRun(prog, 100'000, DispatchMode::Threaded);
+    const RunSnapshot t = refRun(prog, 100'000);
     EXPECT_TRUE(checkRvfiStream(t.trace).passed());
-    RisspRunOptions fast;
-    fast.dispatch = DispatchMode::Threaded;
-    const RunSnapshot d = risspRun(prog, subset, 100'000, fast);
+    const RunSnapshot d = risspRun(prog, subset, 100'000, {});
     EXPECT_TRUE(checkRvfiStream(d.trace).passed());
 }
 
@@ -556,10 +534,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DispatchFuzz,
 TEST(MutationContract, EveryKindRoutesThroughGateLevel)
 {
     // The pinned contract: a non-null Mutation — Kind::None included
-    // — always selects the gate-level engine, under every dispatch
-    // setting, so mutation coverage can never silently run on the
-    // specialized cores. Observable as (a) dispatch-invariance of
-    // every faulty run and (b) the faults actually biting.
+    // — always selects the gate-level engine, through run() and
+    // step() alike, so mutation coverage can never silently run on
+    // the interpreter core. Observable as (a) run() and a step(&mut)
+    // loop agreeing on every faulty run and (b) the faults actually
+    // biting.
     Program p = archTestProgram(Op::Add);
     const InstrSubset full = InstrSubset::fullRv32e();
     RisspRunOptions clean;
@@ -583,21 +562,14 @@ TEST(MutationContract, EveryKindRoutesThroughGateLevel)
         const Mutation mut{kind, 3};
         RisspRunOptions opts;
         opts.fault = &mut;
-        opts.dispatch = DispatchMode::Switch;
         const RunSnapshot a = risspRun(p, full, 100'000, opts);
-        opts.dispatch = DispatchMode::Threaded;
-        const RunSnapshot b = risspRun(p, full, 100'000, opts);
-        opts.dispatch = DispatchMode::Auto;
-        const RunSnapshot c = risspRun(p, full, 100'000, opts);
-        EXPECT_TRUE(sameSnapshot(a, b))
-            << "fault run depends on dispatch mode for "
-            << mut.describe();
-        EXPECT_TRUE(sameSnapshot(a, c))
-            << "fault run depends on dispatch mode for "
+        EXPECT_TRUE(
+            sameSnapshot(a, risspStepRun(p, full, 100'000, &mut)))
+            << "run() and step() disagree on the fault run for "
             << mut.describe();
         if (kind == Mutation::Kind::None) {
             // An inactive mutation through the gate-level chain is
-            // still bit-identical to the specialized cores.
+            // still bit-identical to the interpreter core.
             EXPECT_TRUE(sameSnapshot(clean_run, a));
         }
     }
@@ -614,35 +586,36 @@ TEST(MutationContract, EveryKindRoutesThroughGateLevel)
 
 TEST(MutationContract, CosimVerdictsMatchUnderEveryDispatch)
 {
-    // cosimulate() single-steps the RISSP, so its fault path goes
-    // through step(&mut): the divergence verdict must be the same
-    // whichever dispatch mode the environment pre-selects.
+    // cosimulate() dispatches a fault straight to the lock-step loop,
+    // which single-steps the RISSP through step(&mut), and a clean
+    // run to the compare-sink pass over the interpreter core: the
+    // fault verdict must be the lock-step one under both entry
+    // points, and the clean run must pass under both.
     Program p = archTestProgram(Op::Add);
     const InstrSubset full = InstrSubset::fullRv32e();
     const Mutation fault{Mutation::Kind::CarryChainBreak, 3};
-    std::vector<std::string> verdicts;
-    for (const char *env : {"switch", "threaded"}) {
-        ASSERT_EQ(setenv("RISSP_DISPATCH", env, 1), 0);
-        CosimOptions options;
-        options.maxSteps = 100'000;
-        options.fault = &fault;
-        CosimReport rpt = cosimulate(p, full, options);
-        EXPECT_FALSE(rpt.passed);
-        verdicts.push_back(rpt.firstDivergence);
-        CosimReport ok = cosimulate(p, full, 100'000);
-        EXPECT_TRUE(ok.passed) << ok.firstDivergence;
-    }
-    ASSERT_EQ(unsetenv("RISSP_DISPATCH"), 0);
-    ASSERT_EQ(verdicts.size(), 2u);
-    EXPECT_EQ(verdicts[0], verdicts[1]);
+    CosimOptions options;
+    options.maxSteps = 100'000;
+    options.fault = &fault;
+    const CosimReport rpt = cosimulate(p, full, options);
+    const CosimReport lock = cosimulateLockStep(p, full, options);
+    EXPECT_FALSE(rpt.passed);
+    EXPECT_FALSE(lock.passed);
+    EXPECT_EQ(rpt.firstDivergence, lock.firstDivergence);
+    options.fault = nullptr;
+    const CosimReport ok = cosimulate(p, full, options);
+    EXPECT_TRUE(ok.passed) << ok.firstDivergence;
+    const CosimReport ok_lock = cosimulateLockStep(p, full, options);
+    EXPECT_TRUE(ok_lock.passed) << ok_lock.firstDivergence;
 }
 
 TEST(DispatchDiff, ExecCountsAreEngineIndependent)
 {
     // ModularEx's per-op dynamic counts feed characterization
-    // reports; the specialized cores must charge them exactly like
+    // reports; the interpreter core must charge them exactly like
     // execute() does (including ops that later trap on a bad
-    // address, excluding unsupported ones).
+    // address, excluding unsupported ones), through run() and
+    // step() alike.
     Program p = assemble(R"(
         li a0, 1
         li a1, 2
@@ -654,15 +627,18 @@ TEST(DispatchDiff, ExecCountsAreEngineIndependent)
     )");
     const InstrSubset full = InstrSubset::fullRv32e();
     std::array<std::array<uint64_t, kNumOps>, 3> counts;
-    size_t n = 0;
-    for (DispatchMode mode :
-         {DispatchMode::Switch, DispatchMode::Threaded}) {
+    {
         Rissp chip(full, "counts");
         chip.reset(p);
-        RisspRunOptions options;
-        options.dispatch = mode;
-        chip.run(options);
-        counts[n++] = chip.modularEx().execCounts();
+        chip.run(RisspRunOptions{});
+        counts[0] = chip.modularEx().execCounts();
+    }
+    {
+        Rissp chip(full, "counts-step");
+        chip.reset(p);
+        while (chip.stopReason() == StopReason::Running)
+            chip.step();
+        counts[1] = chip.modularEx().execCounts();
     }
     {
         Rissp chip(full, "counts-gate");
@@ -670,12 +646,12 @@ TEST(DispatchDiff, ExecCountsAreEngineIndependent)
         RisspRunOptions options;
         options.gateLevel = true;
         chip.run(options);
-        counts[n++] = chip.modularEx().execCounts();
+        counts[2] = chip.modularEx().execCounts();
     }
     EXPECT_EQ(counts[0], counts[2])
-        << "switch-core exec counts diverge from gate level";
+        << "run() exec counts diverge from gate level";
     EXPECT_EQ(counts[1], counts[2])
-        << "threaded-core exec counts diverge from gate level";
+        << "step() exec counts diverge from gate level";
     EXPECT_EQ(counts[2][static_cast<size_t>(Op::Add)], 2u);
     // The wrapping lw still charged its block before trapping.
     EXPECT_EQ(counts[2][static_cast<size_t>(Op::Lw)], 1u);

@@ -392,6 +392,28 @@ TEST(ServeErrors, UnknownFieldIsNamedNotIgnored)
     expectStillAlive(harness.port());
 }
 
+TEST(ServeErrors, DeeplyNestedSourceIsA400AndTheDaemonLives)
+{
+    // ~400 KB of nested parentheses once overflowed the compiler's
+    // stack and took the daemon down; the parser's nesting cap turns
+    // it into a structured compile error.
+    const std::string source = "int main(void) { return " +
+        std::string(200'000, '(') + "1" + std::string(200'000, ')') +
+        "; }";
+    Harness harness;
+    const auto response = httpRequest(
+        harness.port(), "POST", "/api/v1/characterize",
+        R"({"source": ")" + source + R"("})");
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->status, 400);
+    EXPECT_NE(response->body.find("compile_error"), std::string::npos)
+        << response->body;
+    EXPECT_NE(response->body.find("nesting deeper than 256 levels"),
+              std::string::npos)
+        << response->body;
+    expectStillAlive(harness.port());
+}
+
 TEST(ServeErrors, UnknownVerbAndPathAre404)
 {
     Harness harness;

@@ -79,36 +79,14 @@ ctest --output-on-failure -j "$JOBS"
 # build so CI can upload it as an artifact (docs/BENCHMARKS.md).
 ./bench_micro --quick --json BENCH_simspeed.json
 
-# Perf smoke on the dispatch rebuild: threaded dispatch should not be
-# slower than the portable switch core. A soft gate — sanitizer and
-# debug configurations legitimately flip the ratio — so it warns
-# loudly instead of failing (docs/BENCHMARKS.md).
-if command -v python3 >/dev/null 2>&1; then
-    python3 - <<'EOF' || true
-import json
-rows = {b["name"]: b["items_per_second"]
-        for b in json.load(open("BENCH_simspeed.json"))["benchmarks"]}
-sw, th = rows.get("refsim_run_switch"), rows.get("refsim_run_threaded")
-if sw and th:
-    print("ci.sh: refsim threaded/switch ratio: %.2fx"
-          " (switch %.3e, threaded %.3e instret/s)" % (th / sw, sw, th))
-    if th < sw:
-        print("ci.sh: WARNING: threaded dispatch is SLOWER than the"
-              " switch core on this runner/configuration -- perf"
-              " regression in the threaded interpreter?")
-EOF
-else
-    echo "ci.sh: python3 not found; skipping dispatch perf smoke" >&2
-fi
-
 # Serving-layer trajectory: 16 concurrent clients against a live
 # daemon, p50/p95/p99 latency + throughput (docs/SERVE.md).
 ./bench_serve --quick --json BENCH_serve.json
 
 # Perf smoke on the reactor rework: 512 parked keep-alive
 # connections must not tax active throughput — idle fds are event
-# sources, not threads. Soft gate like the dispatch smoke above:
-# warns loudly, never fails (loaded CI runners jitter req/s).
+# sources, not threads. A soft gate: it warns loudly, never fails
+# (loaded CI runners jitter req/s).
 if command -v python3 >/dev/null 2>&1; then
     python3 - <<'EOF' || true
 import json

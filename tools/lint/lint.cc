@@ -328,9 +328,7 @@ checkHotSwitchDecode(const SourceFile &f, std::vector<Finding> &out)
     if (!hot)
         return;
     // RefSim::step() is the deliberately independent golden
-    // statement of the semantics; its switch stays by design, as
-    // does the shared dispatch core it cross-checks (exec_core.inc,
-    // which the tree walk does not scan).
+    // statement of the semantics; its switch stays by design.
     if (f.path == "src/sim/refsim.cc")
         return;
     const std::vector<Token> tokens = tokenize(f.scrubbed);
@@ -361,10 +359,9 @@ checkHotSwitchDecode(const SourceFile &f, std::vector<Finding> &out)
                     "per-instruction switch over '" +
                         std::string(ct.text) +
                         "' in a simulator hot path — instruction "
-                        "dispatch belongs to the shared interpreter "
-                        "core (sim/exec_core.inc, selected via "
-                        "sim/dispatch.hh), not ad-hoc decode "
-                        "switches");
+                        "dispatch belongs to the shared threaded "
+                        "interpreter core (sim/exec_core.inc), not "
+                        "ad-hoc decode switches");
                 break;
             }
         }
