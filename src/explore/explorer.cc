@@ -5,10 +5,12 @@
 
 #include "explore/explorer.hh"
 
+#include <unordered_map>
+
 #include "core/rissp.hh"
 #include "exec/scheduler.hh"
 #include "explore/fingerprint.hh"
-#include "util/logging.hh"
+#include "isa/instr.hh"
 #include "verify/integration_verify.hh"
 #include "workloads/workloads.hh"
 
@@ -36,6 +38,17 @@ runSignature(uint32_t exit_code,
     for (uint32_t w : out_words)
         hash = fnv1a(&w, sizeof w, hash);
     return fnv1a(out_text, hash);
+}
+
+/** The subset whose fingerprint is @p mask. */
+InstrSubset
+subsetOfMask(uint64_t mask)
+{
+    std::set<Op> ops;
+    for (unsigned i = 0; i < kNumOps; ++i)
+        if (mask >> i & 1)
+            ops.insert(static_cast<Op>(i));
+    return InstrSubset(std::move(ops));
 }
 
 } // namespace
@@ -87,6 +100,13 @@ Explorer::compileWorkload(const std::string &name,
 {
     const uint64_t key = workloadKey(name, level);
     noteCompileLookup(key);
+    return compileCached(name, key, level);
+}
+
+minic::CompileResult
+Explorer::compileCached(const std::string &name, uint64_t key,
+                        minic::OptLevel level)
+{
     // Bundled workloads always compile, so the cached Result is
     // always a value.
     return caches
@@ -98,34 +118,27 @@ Explorer::compileWorkload(const std::string &name,
         .value();
 }
 
-InstrSubset
-Explorer::resolveSubset(const SubsetSpec &spec, minic::OptLevel level)
-{
-    switch (spec.kind) {
-      case SubsetSpec::Kind::Full:
-        return InstrSubset::fullRv32e();
-      case SubsetSpec::Kind::Explicit:
-        return InstrSubset::fromNames(spec.mnemonics);
-      case SubsetSpec::Kind::FromWorkload:
-        return InstrSubset::fromProgram(
-            compileWorkload(spec.workload, level).program);
-    }
-    panic("resolveSubset: bad kind");
-}
-
 flow::SimOutcome
 Explorer::simulatePoint(const InstrSubset &subset,
-                        const minic::CompileResult &compiled)
+                        const Program &program,
+                        uint64_t static_mask) const
 {
     flow::SimOutcome out;
     Rissp chip(subset, "explore");
-    chip.reset(compiled.program);
+    chip.reset(program);
     const RunResult run = chip.run(opts.maxSteps);
     out.trapped = run.reason == StopReason::Trapped;
     out.cycles = run.instret;
     out.exitCode = run.exitCode;
     out.signature = runSignature(run.exitCode, chip.outputWords(),
                                  chip.outputText());
+    if (out.trapped) {
+        // Only code the program wrote itself, or code outside its
+        // text, can hold an op its text does not.
+        const Instr in = decode(chip.memory().loadWord(run.stopPc));
+        out.offStaticTrap = in.valid() &&
+            !(static_mask >> static_cast<unsigned>(in.op) & 1);
+    }
     if (run.reason != StopReason::Halted) {
         out.cosimPassed = false;
     } else if (!opts.verify) {
@@ -134,10 +147,46 @@ Explorer::simulatePoint(const InstrSubset &subset,
         CosimOptions cosim;
         cosim.maxSteps = opts.maxSteps;
         cosim.contextEvents = 0; // only the verdict is tabulated
-        out.cosimPassed =
-            cosimulate(compiled.program, subset, cosim).passed;
+        out.cosimPassed = cosimulate(program, subset, cosim).passed;
     }
     return out;
+}
+
+flow::SimOutcome
+Explorer::lookupSim(uint64_t subset_fp, const Program &program,
+                    uint64_t program_key, uint64_t static_mask)
+{
+    // The run is made under the subset the key names, never under
+    // the caller's, so the memoized value is a function of the key.
+    return caches->simLookup({subset_fp, program_key}, [&] {
+        return simulatePoint(subsetOfMask(subset_fp), program,
+                             static_mask);
+    });
+}
+
+flow::SimOutcome
+Explorer::settleSim(const flow::SimOutcome &projected,
+                    uint64_t subset_fp, const Program &program,
+                    uint64_t program_key, uint64_t static_mask)
+{
+    // A projected trap on an op outside the static set says nothing
+    // about a subset that has ops there: look that subset up whole.
+    if (!projected.offStaticTrap || (subset_fp & ~static_mask) == 0)
+        return projected;
+    noteSimLookup({subset_fp, program_key});
+    return lookupSim(subset_fp, program, program_key, static_mask);
+}
+
+flow::SimOutcome
+Explorer::simulate(const InstrSubset &subset, const Program &program,
+                   uint64_t program_key)
+{
+    const uint64_t fp = subsetFingerprint(subset);
+    const uint64_t mask =
+        subsetFingerprint(InstrSubset::fromProgram(program));
+    noteSimLookup({fp & mask, program_key});
+    return settleSim(lookupSim(fp & mask, program, program_key, mask),
+                     fp, program, program_key, mask);
 }
 
 flow::SynthOutcome
@@ -167,117 +216,216 @@ Explorer::explore(const ExplorationPlan &plan)
 {
     const std::vector<PlanPoint> points = plan.expand();
     ResultTable table(points.size());
-
-    // Per-point state shared between that point's stage nodes. The
-    // sim and synth stages write disjoint members of the same row,
-    // so the two can run on different workers without a lock.
-    struct PointState
-    {
-        ExplorationResult row;
-        minic::CompileResult compiled; ///< filled when simulating
-        uint64_t subsetFp = 0;
-    };
-    std::vector<PointState> states(points.size());
-
-    // One subgraph per point, at pipeline-stage granularity:
-    //
-    //      prepare ──► sim ────┐
-    //         │    └──► synth ─┴─► row
-    //
-    // so one point's synthesis overlaps another's co-simulation and
-    // the scheduler steals whichever stage is ready. Nodes are added
-    // in plan order; with one thread the scheduler always runs the
-    // lowest-id ready node next, which finishes each point before
-    // starting the next — the old fully-serial schedule the per-row
-    // memo-hit flags are pinned against.
-    exec::TaskGraph graph;
-    for (const PlanPoint &pt : points) {
-        const SubsetSpec &sspec = plan.subsets[pt.subsetIdx];
-        const std::string &wlName = plan.workloads[pt.workloadIdx];
-        const TechSpec &tech = plan.techs.empty()
-            ? defaultTechSpec() : plan.techs[pt.techIdx];
-        PointState &state = states[pt.index];
-
-        const exec::TaskId prepare = graph.add(
-            [this, &plan, &sspec, &wlName, &tech, &state, pt] {
-                ExplorationResult &row = state.row;
-                row.index = pt.index;
-                row.subsetName = sspec.name;
-                row.workloadName = wlName;
-                row.techName = tech.tech.name;
-                row.subset = resolveSubset(sspec, plan.opt);
-                row.subsetSize = row.subset.size();
-                state.subsetFp = subsetFingerprint(row.subset);
-                if (opts.simulate)
-                    state.compiled =
-                        compileWorkload(wlName, plan.opt);
-            },
-            {}, "prepare");
-
-        std::vector<exec::TaskId> rowDeps{prepare};
-        if (opts.simulate) {
-            rowDeps.push_back(graph.add(
-                [this, &plan, &wlName, &state] {
-                    ExplorationResult &row = state.row;
-                    const FingerprintPair simKey{
-                        state.subsetFp,
-                        workloadKey(wlName, plan.opt)};
-                    row.simMemoHit = noteSimLookup(simKey);
-                    const flow::SimOutcome sim =
-                        caches->simLookup(simKey, [&] {
-                            return simulatePoint(row.subset,
-                                                 state.compiled);
-                        });
-                    row.simRun = true;
-                    row.trapped = sim.trapped;
-                    row.cosimPassed = sim.cosimPassed;
-                    row.cycles = sim.cycles;
-                    row.exitCode = sim.exitCode;
-                    row.signature = sim.signature;
-                    // The sim stage is the compiled image's only
-                    // consumer; release it so a large plan holds
-                    // at most the in-flight images, not one per
-                    // point for the whole sweep.
-                    state.compiled = {};
-                },
-                {prepare}, "sim"));
-        }
-        if (opts.synthesize) {
-            rowDeps.push_back(graph.add(
-                [this, &sspec, &tech, &state] {
-                    ExplorationResult &row = state.row;
-                    const FingerprintPair synthKey{
-                        state.subsetFp,
-                        techFingerprint(tech.tech)};
-                    row.synthMemoHit = noteSynthLookup(synthKey);
-                    const flow::SynthOutcome synth =
-                        caches->synthLookup(synthKey, [&] {
-                            return synthesizePoint(row.subset,
-                                                   sspec.name,
-                                                   tech.tech);
-                        });
-                    row.synthRun = true;
-                    row.fmaxKhz = synth.fmaxKhz;
-                    row.avgAreaGe = synth.avgAreaGe;
-                    row.avgPowerMw = synth.avgPowerMw;
-                    row.epiNj = synth.epiNj;
-                    row.physRun = synth.physRun;
-                    row.dieAreaMm2 = synth.dieAreaMm2;
-                    row.physPowerMw = synth.physPowerMw;
-                },
-                {prepare}, "synth"));
-        }
-        graph.add(
-            [this, &table, &state] {
-                pointCount.fetch_add(1, std::memory_order_relaxed);
-                table.set(std::move(state.row));
-            },
-            rowDeps, "row");
-    }
-
     const unsigned threads =
         opts.threads != 0 ? opts.threads : plan.threads;
     exec::Scheduler scheduler(threads);
+
+    // Stage 1: compile each workload the plan needs (its workload
+    // axis and the workloads behind its @workload subsets) once, in
+    // parallel, and take its static op set.
+    struct Workload
+    {
+        std::string name;
+        uint64_t key = 0;
+        minic::CompileResult compiled;
+        InstrSubset staticOps;
+        uint64_t staticMask = 0; ///< subsetFingerprint(staticOps)
+    };
+    std::vector<Workload> workloads;
+    std::unordered_map<std::string, size_t> workloadIdx;
+    auto need = [&](const std::string &name) {
+        const auto [it, fresh] =
+            workloadIdx.emplace(name, workloads.size());
+        if (fresh) {
+            Workload &wl = workloads.emplace_back();
+            wl.name = name;
+            wl.key = workloadKey(name, plan.opt);
+        }
+        return it->second;
+    };
+    for (const SubsetSpec &spec : plan.subsets)
+        if (spec.kind == SubsetSpec::Kind::FromWorkload)
+            need(spec.workload);
+    std::vector<size_t> axisWorkload; ///< per plan.workloads entry
+    if (opts.simulate)
+        for (const std::string &name : plan.workloads)
+            axisWorkload.push_back(need(name));
+    {
+        exec::TaskGraph graph;
+        for (Workload &wl : workloads)
+            graph.add(
+                [this, &wl, &plan] {
+                    wl.compiled =
+                        compileCached(wl.name, wl.key, plan.opt);
+                    wl.staticOps =
+                        InstrSubset::fromProgram(wl.compiled.program);
+                    wl.staticMask = subsetFingerprint(wl.staticOps);
+                },
+                {}, "compile");
+        scheduler.runToCompletion(std::move(graph));
+    }
+
+    // Each plan subset is resolved once.
+    std::vector<InstrSubset> subsets;
+    for (const SubsetSpec &spec : plan.subsets) {
+        switch (spec.kind) {
+          case SubsetSpec::Kind::Full:
+            subsets.push_back(InstrSubset::fullRv32e());
+            break;
+          case SubsetSpec::Kind::Explicit:
+            subsets.push_back(InstrSubset::fromNames(spec.mnemonics));
+            break;
+          case SubsetSpec::Kind::FromWorkload:
+            subsets.push_back(
+                workloads[workloadIdx.at(spec.workload)].staticOps);
+            break;
+        }
+    }
+
+    // Stage 2: one sim node per distinct projected key, one synth
+    // node per distinct (subset, tech), and one row node per point
+    // that depends on the two it reads:
+    //
+    //      sim(subset & static(w), w) ──┐
+    //                                   ├─► row(subset, w, tech)
+    //      synth(subset, tech) ─────────┘
+    //
+    // No two nodes share a key, so no worker waits in the memo
+    // cache on another worker's in-flight run. Nodes are added in
+    // plan order, so the scheduler starts the first points' work
+    // first. Stats and memo-hit flags are noted here, in plan order,
+    // so they do not depend on the schedule.
+    struct SimNode
+    {
+        uint64_t subsetFp = 0; ///< projected onto wl's static set
+        const Workload *wl = nullptr;
+        flow::SimOutcome out;
+        exec::TaskId task = 0;
+    };
+    struct SynthNode
+    {
+        FingerprintPair key;
+        const std::string *name = nullptr; ///< the design's name
+        const InstrSubset *subset = nullptr;
+        const Technology *tech = nullptr;
+        flow::SynthOutcome out;
+        exec::TaskId task = 0;
+    };
+    // Reserved up front: the node lambdas capture nodes by address.
+    std::vector<SimNode> sims;
+    std::vector<SynthNode> synths;
+    sims.reserve(points.size());
+    synths.reserve(points.size());
+    std::unordered_map<FingerprintPair, size_t, FingerprintPairHash>
+        simIdx;
+    std::unordered_map<FingerprintPair, size_t, FingerprintPairHash>
+        synthIdx;
+
+    exec::TaskGraph graph;
+    for (const PlanPoint &pt : points) {
+        const SubsetSpec &sspec = plan.subsets[pt.subsetIdx];
+        const TechSpec &tech = plan.techs.empty()
+            ? defaultTechSpec() : plan.techs[pt.techIdx];
+        const uint64_t subsetFp =
+            subsetFingerprint(subsets[pt.subsetIdx]);
+        if (sspec.kind == SubsetSpec::Kind::FromWorkload)
+            noteCompileLookup(
+                workloads[workloadIdx.at(sspec.workload)].key);
+
+        std::vector<exec::TaskId> deps;
+        const SimNode *sim = nullptr;
+        bool simHit = false;
+        if (opts.simulate) {
+            const Workload &wl =
+                workloads[axisWorkload[pt.workloadIdx]];
+            noteCompileLookup(wl.key);
+            const FingerprintPair key{subsetFp & wl.staticMask,
+                                      wl.key};
+            simHit = noteSimLookup(key);
+            const auto [it, fresh] = simIdx.emplace(key, sims.size());
+            if (fresh) {
+                SimNode &node = sims.emplace_back();
+                node.subsetFp = key.first;
+                node.wl = &wl;
+                node.task = graph.add(
+                    [this, &node] {
+                        node.out = lookupSim(
+                            node.subsetFp, node.wl->compiled.program,
+                            node.wl->key, node.wl->staticMask);
+                    },
+                    {}, "sim");
+            }
+            sim = &sims[it->second];
+            deps.push_back(sim->task);
+        }
+        const SynthNode *synth = nullptr;
+        bool synthHit = false;
+        if (opts.synthesize) {
+            const FingerprintPair key{subsetFp,
+                                      techFingerprint(tech.tech)};
+            synthHit = noteSynthLookup(key);
+            const auto [it, fresh] =
+                synthIdx.emplace(key, synths.size());
+            if (fresh) {
+                SynthNode &node = synths.emplace_back();
+                node.key = key;
+                node.name = &sspec.name;
+                node.subset = &subsets[pt.subsetIdx];
+                node.tech = &tech.tech;
+                node.task = graph.add(
+                    [this, &node] {
+                        node.out = caches->synthLookup(node.key, [&] {
+                            return synthesizePoint(
+                                *node.subset, *node.name, *node.tech);
+                        });
+                    },
+                    {}, "synth");
+            }
+            synth = &synths[it->second];
+            deps.push_back(synth->task);
+        }
+
+        graph.add(
+            [this, &plan, &subsets, &table, &sspec, &tech, pt,
+             subsetFp, sim, simHit, synth, synthHit] {
+                ExplorationResult row;
+                row.index = pt.index;
+                row.subsetName = sspec.name;
+                row.workloadName = plan.workloads[pt.workloadIdx];
+                row.techName = tech.tech.name;
+                row.subset = subsets[pt.subsetIdx];
+                row.subsetSize = row.subset.size();
+                if (sim) {
+                    const Workload &wl = *sim->wl;
+                    const flow::SimOutcome out =
+                        settleSim(sim->out, subsetFp,
+                                  wl.compiled.program, wl.key,
+                                  wl.staticMask);
+                    row.simRun = true;
+                    row.simMemoHit = simHit;
+                    row.trapped = out.trapped;
+                    row.cosimPassed = out.cosimPassed;
+                    row.cycles = out.cycles;
+                    row.exitCode = out.exitCode;
+                    row.signature = out.signature;
+                }
+                if (synth) {
+                    const flow::SynthOutcome &out = synth->out;
+                    row.synthRun = true;
+                    row.synthMemoHit = synthHit;
+                    row.fmaxKhz = out.fmaxKhz;
+                    row.avgAreaGe = out.avgAreaGe;
+                    row.avgPowerMw = out.avgPowerMw;
+                    row.epiNj = out.epiNj;
+                    row.physRun = out.physRun;
+                    row.dieAreaMm2 = out.dieAreaMm2;
+                    row.physPowerMw = out.physPowerMw;
+                }
+                pointCount.fetch_add(1, std::memory_order_relaxed);
+                table.set(std::move(row));
+            },
+            deps, "row");
+    }
     scheduler.runToCompletion(std::move(graph));
     return table;
 }

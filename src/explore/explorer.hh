@@ -6,19 +6,31 @@
  * subset (Step 1), builds the RISSP and runs the workload on it,
  * lock-step co-simulates against the reference ISS (§3.4.2), and
  * pushes the subset through the synthesis and physical-implementation
- * models (§4.2-4.3). Each point expands into a small stage subgraph
- * (prepare → sim/synth → row) on an `exec::TaskGraph`, and the whole
- * plan runs on a work-stealing `exec::Scheduler`, so one point's
- * synthesis overlaps another's co-simulation;
- * simulation results are memoized on (subset fingerprint, workload
- * fingerprint) and synthesis results on (subset fingerprint, tech
- * fingerprint), so cartesian plans — where the same subset meets many
- * workloads and the same pair meets many corners — only pay for each
- * distinct computation once. The caches live in a shared
- * `flow::StageCaches` (by default private to the Explorer, but a
- * `FlowService` passes its own), so they persist across explore()
- * calls — and across every other entry point sharing the set:
- * repeated points are free.
+ * models (§4.2-4.3).
+ *
+ * A RISSP consults its subset only for the ops it retires, and a
+ * program retires only ops of its own text unless it writes that
+ * text or jumps out of it. So the simulation tier is keyed on
+ * (subset ∩ static ops of the workload, workload fingerprint) and
+ * runs under that projected subset: every subset that agrees on the
+ * workload's own ops shares one run and one co-simulation. A
+ * projected run that traps on an op outside the static set
+ * (self-modifying or off-span code) does not speak for subsets that
+ * have that op, so those points look up their unprojected key and
+ * run under their own subset. Synthesis results are memoized on
+ * (subset fingerprint, tech fingerprint).
+ *
+ * explore() compiles each plan workload and resolves each plan
+ * subset once, then runs one `exec::TaskGraph` on a work-stealing
+ * `exec::Scheduler` with one sim node per distinct projected key,
+ * one synth node per distinct (subset, tech) and one row node per
+ * point that depends on the two it reads. So one point's synthesis
+ * overlaps another's co-simulation, and no worker waits on another
+ * worker's in-flight run of the same key. The caches live in a
+ * shared `flow::StageCaches` (by default private to the Explorer,
+ * but a `FlowService` passes its own), so they persist across
+ * explore() calls — and across every other entry point sharing the
+ * set: repeated points are free.
  *
  * Every model underneath is deterministic and every point writes its
  * own pre-allocated result row, so the emitted table is identical for
@@ -69,7 +81,11 @@ struct ExplorerStats
     uint64_t points = 0;       ///< points explored so far
     uint64_t compileHits = 0;  ///< workload compilations reused
     uint64_t compileMisses = 0;
-    uint64_t simHits = 0;      ///< co-simulations reused
+    /** One sim lookup per point under its projected key, plus one
+     *  per point whose projected run trapped outside the static set
+     *  (its unprojected key); misses are the distinct keys, i.e.
+     *  the runs and co-simulations made. */
+    uint64_t simHits = 0;
     uint64_t simMisses = 0;
     uint64_t synthHits = 0;    ///< synthesis sweeps reused
     uint64_t synthMisses = 0;
@@ -97,10 +113,15 @@ class Explorer
     minic::CompileResult compileWorkload(const std::string &name,
                                          minic::OptLevel level);
 
-    /** Resolve a subset spec to concrete ops (compiles the backing
-     *  workload for Kind::FromWorkload, memoized). */
-    InstrSubset resolveSubset(const SubsetSpec &spec,
-                              minic::OptLevel level);
+    /** Simulate (and, with options().verify, co-simulate)
+     *  @p program under @p subset through the sim tier, as an
+     *  explore point does: under the projected key first, then under
+     *  the unprojected key when the projected run trapped on an op
+     *  outside the program's static set. @p program_key identifies
+     *  @p program in the sim cache, like a workload fingerprint. */
+    flow::SimOutcome simulate(const InstrSubset &subset,
+                              const Program &program,
+                              uint64_t program_key);
 
     ExplorerStats stats() const;
 
@@ -112,9 +133,32 @@ class Explorer
     static uint64_t workloadKey(const std::string &name,
                                 minic::OptLevel level);
 
-    flow::SimOutcome
-    simulatePoint(const InstrSubset &subset,
-                  const minic::CompileResult &compiled);
+    /** compileWorkload() without the stats note. */
+    minic::CompileResult compileCached(const std::string &name,
+                                       uint64_t key,
+                                       minic::OptLevel level);
+
+    /** Run @p program on a RISSP for @p subset and, if it halts,
+     *  co-simulate it; flags a trap on an op outside
+     *  @p static_mask. */
+    flow::SimOutcome simulatePoint(const InstrSubset &subset,
+                                   const Program &program,
+                                   uint64_t static_mask) const;
+    /** The sim cache entry for (@p subset_fp, @p program_key),
+     *  computed under the subset @p subset_fp names. */
+    flow::SimOutcome lookupSim(uint64_t subset_fp,
+                               const Program &program,
+                               uint64_t program_key,
+                               uint64_t static_mask);
+    /** The outcome for the subset @p subset_fp, given its
+     *  @p projected one: that, or the unprojected lookup when the
+     *  projected run trapped outside the static set and the subset
+     *  has ops there. */
+    flow::SimOutcome settleSim(const flow::SimOutcome &projected,
+                               uint64_t subset_fp,
+                               const Program &program,
+                               uint64_t program_key,
+                               uint64_t static_mask);
     flow::SynthOutcome synthesizePoint(const InstrSubset &subset,
                                        const std::string &name,
                                        const Technology &tech);

@@ -58,6 +58,10 @@ struct SimOutcome
     uint64_t cycles = 0;
     uint32_t exitCode = 0;
     uint64_t signature = 0;
+    /** The run trapped on an op outside the workload's static op
+     *  set (self-modifying or off-span code), so the outcome does
+     *  not hold for subsets that have that op. */
+    bool offStaticTrap = false;
 };
 
 /** Memoized result of synthesizing one (subset, tech) point. */
@@ -81,7 +85,9 @@ struct StageCaches
     explore::MemoCache<uint64_t, Result<minic::CompileResult>>
         compile;
 
-    /** Key: (subset fingerprint, workload fingerprint). */
+    /** Key: (subset fingerprint, workload fingerprint); the
+     *  Explorer keys on the subset projected onto the workload's
+     *  static ops (explore/explorer.hh). */
     explore::MemoCache<explore::FingerprintPair, SimOutcome,
                        explore::FingerprintPairHash>
         sim;

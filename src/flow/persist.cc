@@ -31,7 +31,7 @@ using store::ByteWriter;
 // Per-kind payload versions: bump when a codec's layout changes so
 // stale records decode-fail (⇒ recompute) instead of misparse.
 constexpr uint32_t kCompileVersion = 1;
-constexpr uint32_t kSimVersion = 1;
+constexpr uint32_t kSimVersion = 2;
 constexpr uint32_t kSynthVersion = 1;
 constexpr uint32_t kSynthReportVersion = 1;
 
@@ -148,6 +148,7 @@ encodeSim(const SimOutcome &value)
     w.u64(value.cycles);
     w.u32(value.exitCode);
     w.u64(value.signature);
+    w.u8(value.offStaticTrap ? 1 : 0);
     return w.take();
 }
 
@@ -163,6 +164,7 @@ decodeSim(const std::vector<uint8_t> &payload)
     out.cycles = r.u64();
     out.exitCode = r.u32();
     out.signature = r.u64();
+    out.offStaticTrap = r.u8() != 0;
     if (!r.atEnd())
         return std::nullopt;
     return out;

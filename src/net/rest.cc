@@ -1,5 +1,6 @@
 #include "net/rest.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <initializer_list>
 
@@ -394,6 +395,33 @@ requestFromBody(Verb verb, const std::string &body)
     if (!parsed)
         return parsed.status();
     return requestFromJson(verb, parsed.value());
+}
+
+unsigned
+servedExploreThreads(unsigned body_threads, unsigned plan_threads,
+                     unsigned daemon_threads)
+{
+    const unsigned asked = body_threads != 0 ? body_threads
+        : plan_threads != 0 ? plan_threads
+        : daemon_threads;
+    return std::min(asked, daemon_threads);
+}
+
+void
+boundServedThreads(flow::Request &request, unsigned daemon_threads)
+{
+    auto *explore = std::get_if<flow::ExploreRequest>(&request);
+    if (!explore)
+        return;
+    if (!explore->plan) {
+        Result<explore::ExplorationPlan> plan =
+            explore::ExplorationPlan::parse(explore->planText);
+        if (plan)
+            explore->plan = plan.take();
+    }
+    explore->options.threads = servedExploreThreads(
+        explore->options.threads,
+        explore->plan ? explore->plan->threads : 0, daemon_threads);
 }
 
 int

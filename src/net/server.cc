@@ -390,10 +390,12 @@ HttpServer::serveVerb(Verb verb, const std::string &body,
 {
     // Parse off the reactor thread: a 4 MB explore plan must not
     // stall a thousand other connections.
-    const Result<flow::Request> request = requestFromBody(verb, body);
+    Result<flow::Request> request = requestFromBody(verb, body);
     if (!request)
         return errorResponse(httpStatusFor(request.status()),
                              request.status(), keep_alive);
+    boundServedThreads(request.value(),
+                       service.scheduler().threadCount());
     const size_t slot = static_cast<size_t>(verb);
     verbTotals[slot].fetch_add(1, std::memory_order_relaxed);
     Status failure;

@@ -21,6 +21,7 @@
 #include "core/rissp.hh"
 #include "core/subset.hh"
 #include "sim/refsim.hh"
+#include "tests/smc_program.hh"
 #include "util/logging.hh"
 #include "verify/integration_verify.hh"
 
@@ -366,16 +367,7 @@ TEST(DispatchDiff, SmcMidSuperblockInvalidates)
     // straight-line superblock*: the core must leave the block at
     // the store and re-enter through the invalidated decode, or it
     // would retire the stale instruction.
-    const uint32_t patched = encodeI(Op::Addi, 12, 0, 99);
-    Program p = assemble(strFormat(R"(
-        la a0, patch
-        li a1, %d
-        sw a1, 0(a0)
-        addi a3, zero, 1
-    patch:
-        addi a2, zero, 1
-        ecall
-    )", static_cast<int32_t>(patched)));
+    Program p = smcPatchProgram(encodeI(Op::Addi, 12, 0, 99));
     expectAllEnginesAgree(p, InstrSubset::fullRv32e());
     const RunSnapshot done = refRun(p, 100);
     EXPECT_EQ(done.regs[12], 99u);
@@ -398,15 +390,7 @@ TEST(DispatchDiff, SmcMidSuperblockInvalidates)
     // re-decode must apply the subset too, so the patched word traps
     // (with its operand reads recorded) instead of executing.
     const uint32_t sub_word = encodeR(Op::Sub, 12, 10, 11);
-    Program ps = assemble(strFormat(R"(
-        la a0, patch
-        li a1, %d
-        sw a1, 0(a0)
-        addi a3, zero, 1
-    patch:
-        addi a2, zero, 1
-        ecall
-    )", static_cast<int32_t>(sub_word)));
+    Program ps = smcPatchProgram(sub_word);
     const InstrSubset no_sub =
         InstrSubset::fromNames({"auipc", "addi", "lui", "sw"});
     ASSERT_FALSE(no_sub.contains(Op::Sub));

@@ -9,13 +9,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
+#include "core/rissp.hh"
 #include "exec/scheduler.hh"
 #include "explore/explorer.hh"
 #include "explore/fingerprint.hh"
 #include "explore/memo.hh"
+#include "isa/instr.hh"
+#include "tests/smc_program.hh"
+#include "util/rng.hh"
+#include "workloads/workloads.hh"
 
 namespace rissp::explore
 {
@@ -286,8 +293,11 @@ TEST(Explorer, MemoizationMakesRepeatsFree)
 
     const ExplorerStats first = engine.stats();
     EXPECT_EQ(first.points, 9u);
-    // 9 distinct (subset, workload) pairs, 3 distinct synth subjects.
-    EXPECT_EQ(first.simMisses, 9u);
+    // 9 distinct (subset, workload) pairs but 7 projected sim keys:
+    // fit-crc32 and full agree on crc32's own ops, and fit-armpit
+    // and full on armpit's. 3 distinct synth subjects.
+    EXPECT_EQ(first.simMisses, 7u);
+    EXPECT_EQ(first.simHits, 2u);
     EXPECT_EQ(first.synthMisses, 3u);
     EXPECT_EQ(first.synthHits, 6u);
     // 3 workloads compiled once each despite 9 points + 6
@@ -357,6 +367,185 @@ TEST(Explorer, TrapAndCosimSemantics)
     EXPECT_FALSE(starved.cosimPassed);
     for (size_t i : table.paretoFrontier())
         EXPECT_NE(i, starved.index);
+}
+
+// ------------------------------------------------------- projection
+
+/** The sim columns of a direct Rissp::run under @p subset. */
+struct DirectRun
+{
+    bool trapped = false;
+    uint64_t cycles = 0;
+    uint32_t exitCode = 0;
+    uint64_t signature = 0;
+};
+
+DirectRun
+runDirect(const InstrSubset &subset, const Program &program)
+{
+    Rissp chip(subset, "direct");
+    chip.reset(program);
+    const RunResult run = chip.run(ExplorerOptions{}.maxSteps);
+    DirectRun out;
+    out.trapped = run.reason == StopReason::Trapped;
+    out.cycles = run.instret;
+    out.exitCode = run.exitCode;
+    // The explore signature: exit code, then every MMIO word, then
+    // the MMIO text.
+    uint64_t hash = fnv1a(&run.exitCode, sizeof run.exitCode);
+    for (uint32_t w : chip.outputWords())
+        hash = fnv1a(&w, sizeof w, hash);
+    out.signature = fnv1a(chip.outputText(), hash);
+    return out;
+}
+
+void
+expectRowMatchesDirect(const ExplorationResult &row,
+                       const Program &program)
+{
+    const DirectRun want = runDirect(row.subset, program);
+    SCOPED_TRACE(row.subsetName + " x " + row.workloadName);
+    EXPECT_TRUE(row.simRun);
+    EXPECT_EQ(row.trapped, want.trapped);
+    EXPECT_EQ(row.cycles, want.cycles);
+    EXPECT_EQ(row.exitCode, want.exitCode);
+    EXPECT_EQ(row.signature, want.signature);
+}
+
+/** Every bundled workload compiled at the plans' default level. */
+std::map<std::string, Program>
+compiledWorkloads()
+{
+    std::map<std::string, Program> programs;
+    for (const Workload &wl : allWorkloads())
+        programs[wl.name] =
+            minic::compile(wl.source, minic::OptLevel::O2).program;
+    return programs;
+}
+
+TEST(Projection, Table3RowsEqualDirectRuns)
+{
+    // Every Table 3 point: @full and each workload's own subset,
+    // against every workload. Each row comes from a run under the
+    // subset projected onto the workload's static ops; it must be
+    // the row a run under the whole subset gives.
+    ExplorationPlan plan;
+    plan.subsets.push_back(SubsetSpec::full());
+    for (const Workload &wl : allWorkloads()) {
+        plan.subsets.push_back(SubsetSpec::fromWorkload(wl.name));
+        plan.workloads.push_back(wl.name);
+    }
+    ExplorerOptions options;
+    options.threads = 4;
+    options.synthesize = false;
+    Explorer engine(options);
+    const ResultTable table = engine.explore(plan);
+    ASSERT_EQ(table.size(), 650u);
+    // The sweep runs 302 distinct projected keys, 25 of them to a
+    // halt: one co-simulation per workload.
+    EXPECT_EQ(engine.stats().simMisses, 302u);
+
+    const std::map<std::string, Program> programs = compiledWorkloads();
+    std::set<FingerprintPair, bool (*)(const FingerprintPair &,
+                                       const FingerprintPair &)>
+        haltingKeys([](const FingerprintPair &a,
+                       const FingerprintPair &b) {
+            return a.first != b.first ? a.first < b.first
+                                      : a.second < b.second;
+        });
+    for (const ExplorationResult &row : table.rows()) {
+        const Program &program = programs.at(row.workloadName);
+        expectRowMatchesDirect(row, program);
+        EXPECT_EQ(row.cosimPassed, !row.trapped);
+        if (!row.trapped)
+            haltingKeys.insert(
+                {subsetFingerprint(row.subset) &
+                     subsetFingerprint(InstrSubset::fromProgram(program)),
+                 fnv1a(row.workloadName)});
+    }
+    EXPECT_EQ(haltingKeys.size(), 25u);
+}
+
+TEST(Projection, SeededRandomSubsetsEqualDirectRuns)
+{
+    // Per workload: its own ops plus random extras (halts; the
+    // extras project away), its own ops less one plus extras (traps
+    // at the first use of the dropped op, if it runs and no extra
+    // brought it back), and uniformly random subsets.
+    const std::map<std::string, Program> programs = compiledWorkloads();
+    const InstrSubset full = InstrSubset::fullRv32e();
+    Rng rng(0x5eed);
+    ExplorerOptions options;
+    options.threads = 4;
+    options.synthesize = false;
+    options.verify = false;
+    Explorer engine(options);
+    for (const auto &[name, program] : programs) {
+        const std::set<Op> own = InstrSubset::fromProgram(program).ops();
+        ExplorationPlan plan;
+        plan.workloads = {name};
+        for (int i = 0; i < 6; ++i) {
+            std::set<Op> ops;
+            if (i < 4)
+                ops = own;
+            if (i == 2 || i == 3) {
+                auto drop = ops.begin();
+                std::advance(drop, rng.below(
+                    static_cast<uint32_t>(ops.size())));
+                ops.erase(drop);
+            }
+            for (Op op : full.ops())
+                if (rng.chance(1, i < 4 ? 4 : 2))
+                    ops.insert(op);
+            std::vector<std::string> names;
+            for (Op op : ops)
+                names.emplace_back(opName(op));
+            plan.subsets.push_back(SubsetSpec::fromNames(
+                "rand" + std::to_string(i), names));
+        }
+        const ResultTable table = engine.explore(plan);
+        ASSERT_EQ(table.size(), 6u);
+        for (const ExplorationResult &row : table.rows())
+            expectRowMatchesDirect(row, program);
+        EXPECT_FALSE(table.row(0).trapped) << name;
+    }
+}
+
+TEST(Projection, SelfModifyingCodeFallsBackToTheWholeSubset)
+{
+    // The program patches `sub` over an addi: an op its text never
+    // held. Under the projected subset the patched word traps, and
+    // that trap must not stand for subsets that have `sub`.
+    const Program program =
+        smcPatchProgram(encodeR(Op::Sub, 12, 10, 11));
+    const uint64_t key = 0x5c; // any key no workload uses
+    const InstrSubset textOnly = InstrSubset::fromProgram(program);
+    ASSERT_FALSE(textOnly.contains(Op::Sub));
+    const InstrSubset withSub =
+        InstrSubset::fromNames({"auipc", "addi", "lui", "sw", "sub"});
+
+    ExplorerOptions options;
+    options.threads = 1;
+    Explorer engine(options);
+    for (const InstrSubset &subset :
+         {textOnly, withSub, InstrSubset::fullRv32e()}) {
+        const flow::SimOutcome got =
+            engine.simulate(subset, program, key);
+        const DirectRun want = runDirect(subset, program);
+        SCOPED_TRACE(subset.describe());
+        EXPECT_EQ(got.trapped, want.trapped);
+        EXPECT_EQ(got.cycles, want.cycles);
+        EXPECT_EQ(got.exitCode, want.exitCode);
+        EXPECT_EQ(got.signature, want.signature);
+        EXPECT_EQ(got.cosimPassed, !want.trapped);
+    }
+    EXPECT_TRUE(runDirect(textOnly, program).trapped);
+    EXPECT_FALSE(runDirect(withSub, program).trapped);
+    // One projected key for all three, then one unprojected lookup
+    // each for the two subsets that have ops outside the text.
+    const ExplorerStats stats = engine.stats();
+    EXPECT_EQ(stats.simMisses, 3u);
+    EXPECT_EQ(stats.simHits, 2u);
 }
 
 TEST(Explorer, CharacterizeOnlySkipsSimAndSynth)

@@ -414,6 +414,42 @@ TEST(ServeErrors, DeeplyNestedSourceIsA400AndTheDaemonLives)
     expectStillAlive(harness.port());
 }
 
+TEST(ServeLimits, ExploreThreadsAreCappedAtTheDaemonsOwn)
+{
+    // The mapping alone: no explore runs and no thread starts here.
+    EXPECT_EQ(servedExploreThreads(4096, 0, 4), 4u);
+    EXPECT_EQ(servedExploreThreads(0, 4096, 4), 4u);
+    EXPECT_EQ(servedExploreThreads(0, 0, 4), 4u);
+    EXPECT_EQ(servedExploreThreads(2, 4096, 4), 2u);
+    EXPECT_EQ(servedExploreThreads(0, 3, 4), 3u);
+    EXPECT_EQ(servedExploreThreads(1, 0, 8), 1u);
+
+    // Both ways a body can ask for threads, through the wire parser.
+    auto bounded = [](const std::string &body) {
+        Result<flow::Request> request =
+            requestFromBody(Verb::Explore, body);
+        EXPECT_TRUE(request.isOk()) << request.status().toString();
+        boundServedThreads(request.value(), 4);
+        return std::get<flow::ExploreRequest>(request.value());
+    };
+    const flow::ExploreRequest fromBody = bounded(
+        R"({"plan": "workload crc32\nsubset fit = @crc32\n", )"
+        R"("threads": 4096})");
+    EXPECT_EQ(fromBody.options.threads, 4u);
+    ASSERT_TRUE(fromBody.plan.has_value()); // parsed once, here
+    EXPECT_EQ(fromBody.plan->workloads.size(), 1u);
+    const flow::ExploreRequest fromPlan = bounded(
+        R"({"plan": "threads 4096\nworkload crc32\n)"
+        R"(subset fit = @crc32\n"})");
+    EXPECT_EQ(fromPlan.options.threads, 4u);
+    // A plan that does not parse is still bounded; the service
+    // reports the parse error before any thread starts.
+    const flow::ExploreRequest broken =
+        bounded(R"({"plan": "frobnicate\n", "threads": 4096})");
+    EXPECT_FALSE(broken.plan.has_value());
+    EXPECT_EQ(broken.options.threads, 4u);
+}
+
 TEST(ServeErrors, UnknownVerbAndPathAre404)
 {
     Harness harness;

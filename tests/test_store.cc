@@ -213,6 +213,7 @@ TEST(PersistCodec, SimOutcomeRoundtripsBitExactly)
     sim.cycles = 123456789;
     sim.exitCode = 55;
     sim.signature = 0xFEEDFACECAFEBEEFull;
+    sim.offStaticTrap = true;
     const std::optional<flow::SimOutcome> back =
         flow::persist::decodeSim(flow::persist::encodeSim(sim));
     ASSERT_TRUE(back.has_value());
@@ -221,6 +222,7 @@ TEST(PersistCodec, SimOutcomeRoundtripsBitExactly)
     EXPECT_EQ(back->cycles, sim.cycles);
     EXPECT_EQ(back->exitCode, sim.exitCode);
     EXPECT_EQ(back->signature, sim.signature);
+    EXPECT_EQ(back->offStaticTrap, sim.offStaticTrap);
 }
 
 TEST(PersistCodec, SynthOutcomeDoublesTravelAsRawBits)

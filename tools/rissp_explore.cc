@@ -21,6 +21,14 @@
  * a built-in 3-subset x 3-workload cartesian plan (9 points). Results
  * are deterministic: any --threads value emits identical tables.
  *
+ * The closing summary line counts memo lookups per point, as
+ * hits/lookups: compile (the point's workload, and the workload
+ * behind an @workload subset), sim (one under the point's projected
+ * key, i.e. its subset cut down to the workload's own ops, plus one
+ * under the whole subset when the projected run trapped on an op
+ * outside them) and synth (one per point). Misses are the distinct
+ * keys: the compiles, runs and synthesis sweeps the sweep made.
+ *
  * A thin adapter over `flow::FlowService`: plan parsing, validation
  * and the sweep itself happen behind the service; a malformed plan
  * exits with every offending line listed, not an abort.

@@ -3,8 +3,9 @@
  * risspgen — command-line front end for the RISSP generation flow.
  *
  *   risspgen characterize <src.c> [-O2]     subset + codesize report
- *   risspgen run <src.c> [-O2]              execute on the generated
- *                                           RISSP (prints exit/MMIO)
+ *   risspgen run <src.c> [-O2] [--verify]   execute on the generated
+ *                                           RISSP (prints exit/MMIO;
+ *                                           --verify co-simulates)
  *   risspgen synth <src.c> [-O2]            synthesis + physical
  *                                           summary vs the baselines
  *   risspgen retarget <src.c> [-O2]         rewrite onto the minimal
@@ -83,6 +84,7 @@ struct CliOptions
     std::string techSpec; ///< --tech value; empty = default tech
     std::string cacheDir; ///< --cache-dir value; empty = no store
     minic::OptLevel level = minic::OptLevel::O2;
+    bool verify = false; ///< run: co-simulate against the reference
     bool json = false;
 };
 
@@ -116,15 +118,51 @@ optLevelFromWord(const std::string &word, minic::OptLevel &out)
     return true;
 }
 
-minic::OptLevel
-parseLevel(int argc, char **argv, int first)
+/** The ParseError for a word no flag of @p verb consumes. */
+Status
+unknownFlag(const std::string &word, const std::string &verb)
+{
+    return Status::errorf(ErrorCode::ParseError,
+                          "unknown flag '%s' for '%s'", word.c_str(),
+                          verb.c_str());
+}
+
+/** The flags of a `<verb> <source>` request. */
+struct VerbFlags
 {
     minic::OptLevel level = minic::OptLevel::O2;
-    for (int i = first; i < argc; ++i) {
-        if (optLevelFromWord(argv[i], level))
-            return level;
+    bool verify = false;  ///< run only
+    std::string techSpec; ///< synth only; empty = default tech
+};
+
+/** Parse @p words, the words after `<verb> <source>`, for @p verb:
+ *  an -O level, `--verify` on run, `--tech <spec>` on synth. Any
+ *  other word is a ParseError naming it. Batch lines and the
+ *  one-shot verbs share this, so both reject the same words with
+ *  the same message. */
+Result<VerbFlags>
+parseVerbFlags(const std::string &verb,
+               const std::vector<std::string> &words)
+{
+    VerbFlags flags;
+    for (size_t i = 0; i < words.size(); ++i) {
+        const std::string &word = words[i];
+        if (optLevelFromWord(word, flags.level))
+            continue;
+        if (word == "--verify" && verb == "run") {
+            flags.verify = true;
+            continue;
+        }
+        if (word == "--tech" && verb == "synth") {
+            if (i + 1 >= words.size())
+                return Status::error(ErrorCode::ParseError,
+                                     "--tech needs a value");
+            flags.techSpec = words[++i];
+            continue;
+        }
+        return unknownFlag(word, verb);
     }
-    return level;
+    return flags;
 }
 
 /** Parse a non-negative integer CLI value (no sign, no suffix, at
@@ -256,17 +294,29 @@ cmdRun(const flow::FlowService &service, const flow::SourceRef &src,
     flow::RunRequest request;
     request.source = src;
     request.opt = cli.level;
+    request.verify = cli.verify;
     const flow::RunResponse response = service.run(request);
     // Trap and step-limit are valid outcomes of a valid request:
     // the exec stage ran, so report it; only a request that never
     // reached execution is an error.
     if (!response.exec.run)
         return reportError(response.status, cli.json);
+    // Only a clean halt, co-simulated clean when asked, exits 0.
+    const int code = response.status.isOk() ? 0 : 1;
     if (cli.json) {
         std::fputs(flow::toJson(response).c_str(), stdout);
-        return response.exec.reason == StopReason::Halted ? 0 : 1;
+        return code;
     }
-    return printRun(response);
+    printRun(response);
+    const flow::CosimStage &cosim = response.cosim;
+    if (cosim.run && cosim.passed)
+        std::printf("co-simulation : passed, %llu RVFI events "
+                    "checked\n",
+                    static_cast<unsigned long long>(
+                        cosim.rvfiEventsChecked));
+    else if (cosim.run)
+        reportError(response.status, false);
+    return code;
 }
 
 int
@@ -477,28 +527,12 @@ parseBatchLine(const std::string &line)
     if (!source)
         return source.status();
 
-    minic::OptLevel level = minic::OptLevel::O2;
-    bool verify = false;
-    std::string techSpec;
-    for (size_t i = 2; i < words.size(); ++i) {
-        const std::string &word = words[i];
-        if (optLevelFromWord(word, level))
-            continue;
-        if (word == "--verify" && verb == "run") {
-            verify = true;
-            continue;
-        }
-        if (word == "--tech" && verb == "synth") {
-            if (i + 1 >= words.size())
-                return Status::error(ErrorCode::ParseError,
-                                     "--tech needs a value");
-            techSpec = words[++i];
-            continue;
-        }
-        return Status::errorf(ErrorCode::ParseError,
-                              "unknown flag '%s' for '%s'",
-                              word.c_str(), verb.c_str());
-    }
+    Result<VerbFlags> flags = parseVerbFlags(
+        verb, std::vector<std::string>(words.begin() + 2, words.end()));
+    if (!flags)
+        return flags.status();
+    const minic::OptLevel level = flags.value().level;
+    const std::string &techSpec = flags.value().techSpec;
 
     if (verb == "characterize") {
         flow::CharacterizeRequest request;
@@ -510,7 +544,7 @@ parseBatchLine(const std::string &line)
         flow::RunRequest request;
         request.source = source.take();
         request.opt = level;
-        request.verify = verify;
+        request.verify = flags.value().verify;
         return flow::Request(std::move(request));
     }
     if (verb == "synth") {
@@ -1042,7 +1076,8 @@ usage()
     std::printf(
         "usage: risspgen <command> [args]\n"
         "  characterize <src.c|@workload> [-O0..-Oz] [--json]\n"
-        "  run          <src.c|@workload> [-O0..-Oz] [--json]\n"
+        "  run          <src.c|@workload> [-O0..-Oz] [--verify]\n"
+        "               [--json]\n"
         "  synth        <src.c|@workload> [-O0..-Oz] [--json]\n"
         "               [--tech <name[:key=value,...]>]\n"
         "  retarget     <src.c|@workload> [-O0..-Oz] [--json]\n"
@@ -1101,7 +1136,6 @@ main(int argc, char **argv)
             cli.cacheDir = argv[++i];
         }
     }
-    cli.level = parseLevel(argc, argv, 3);
 
     // Only synth costs a design on a technology; anywhere else a
     // --tech would be silently ignored, which reads as "costed on
@@ -1156,6 +1190,33 @@ main(int argc, char **argv)
     if (cli.command == "cache")
         return cmdCache(argc, argv, cli);
 
+    // The remaining verbs take a source (all but techs and table3),
+    // then flags; the global flags were read above.
+    const bool sourced = cli.command != "techs" &&
+        cli.command != "table3";
+    if (sourced && (argc < 3 || argv[2][0] == '-')) {
+        usage();
+        return 2;
+    }
+    std::vector<std::string> words;
+    for (int i = sourced ? 3 : 2; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--cache-dir")
+            ++i;
+        else if (arg != "--json")
+            words.push_back(arg);
+    }
+    Result<VerbFlags> flags = parseVerbFlags(cli.command, words);
+    if (flags && !sourced && !words.empty()) // no flags of their own
+        flags = unknownFlag(words.front(), cli.command);
+    if (!flags) {
+        std::fprintf(stderr, "risspgen: error: %s\n",
+                     flags.status().message().c_str());
+        return 2;
+    }
+    cli.level = flags.value().level;
+    cli.verify = flags.value().verify;
+
     Result<std::shared_ptr<store::ArtifactStore>> artifacts =
         openCliStore(cli);
     if (!artifacts)
@@ -1167,10 +1228,6 @@ main(int argc, char **argv)
         return cmdTechs(cli);
     if (cli.command == "table3")
         return cmdTable3(service, cli);
-    if (argc < 3 || argv[2][0] == '-') {
-        usage();
-        return 2;
-    }
     cli.sourceArg = argv[2];
 
     Result<flow::SourceRef> src = resolveSource(cli.sourceArg);
