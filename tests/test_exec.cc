@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
@@ -126,6 +127,33 @@ TEST(Scheduler, SerialScheduleRunsLowestReadyIdFirst)
     Scheduler scheduler(1);
     scheduler.runToCompletion(std::move(graph));
     EXPECT_EQ(order, (std::vector<int>{0, 10, 1, 11, 2, 12}));
+}
+
+TEST(Scheduler, WorkersStartWithTheLowestReadyIds)
+{
+    // Every node waits until four nodes have started, so no worker
+    // pops a second node before each has popped its first, and the
+    // first four to start are fixed by how the graph was seeded. They
+    // must be the four lowest ids, one per worker: an explore plan
+    // puts its longest points first so that they start first.
+    constexpr unsigned kThreads = 4;
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<TaskId> started;
+    TaskGraph graph;
+    for (TaskId id = 0; id < 4 * kThreads; ++id)
+        graph.add([&, id] {
+            std::unique_lock<std::mutex> lock(mu);
+            started.push_back(id);
+            cv.notify_all();
+            cv.wait(lock, [&] { return started.size() >= kThreads; });
+        });
+    Scheduler(kThreads).runToCompletion(std::move(graph));
+    ASSERT_EQ(started.size(), 4 * kThreads);
+    std::vector<TaskId> first(started.begin(),
+                              started.begin() + kThreads);
+    std::sort(first.begin(), first.end());
+    EXPECT_EQ(first, (std::vector<TaskId>{0, 1, 2, 3}));
 }
 
 // ----------------------------------------------- failure semantics
