@@ -10,8 +10,8 @@
  * flat, deterministically-ordered point list for the `Explorer`.
  *
  * Plans can be built programmatically (the bench mains do this) or
- * parsed from a small line-oriented plan file (the `rissp-explore`
- * CLI does this; see `ExplorationPlan::parse`).
+ * parsed from a small line-oriented plan file (`risspgen explore`
+ * and batch explore lines do this; see `ExplorationPlan::parse`).
  */
 
 #ifndef RISSP_EXPLORE_PLAN_HH

@@ -7,7 +7,7 @@
  * The paper's pitch is that RISSPs are cheap enough to generate per
  * application; that only scales if generating one is a single
  * well-specified call rather than hand-stitched glue. Every client —
- * the `risspgen` verbs, `rissp-explore`, the examples, the
+ * the `risspgen` verbs (explore included), the examples, the
  * `risspgen serve` daemon — sends one of five typed requests and
  * gets back a stage-granular response:
  *
@@ -261,7 +261,7 @@ struct RetargetResponse
 /** Explore: sweep a (subset × workload × tech) design space. */
 struct ExploreRequest
 {
-    /** Plan text (the rissp-explore grammar)… */
+    /** Plan text (the explore/plan.hh grammar)… */
     std::string planText;
     /** …or a programmatic plan; wins over planText when set. */
     std::optional<explore::ExplorationPlan> plan;

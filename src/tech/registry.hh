@@ -11,8 +11,8 @@
  *     <name>[:key=value,...]
  *
  * e.g. `flexic-0.6um` or `flexic-0.6um:voltage=2.4,ffPowerRatio=8` —
- * the grammar `risspgen --tech`, `rissp-explore` plan `tech` lines
- * and `FlowService` requests all share. Specs are user input:
+ * the grammar `risspgen synth --tech`, `risspgen explore` plan `tech`
+ * lines and `FlowService` requests all share. Specs are user input:
  * parse() returns every per-field problem of one spec in a single
  * Result, never aborts.
  *

@@ -622,10 +622,12 @@ TEST(ServeAdmission, DispatchQueueFullIsAnImmediate429)
     options.maxQueue = 1;
     Harness harness(options, /*threads=*/1);
 
-    // A plan wide enough to keep the single worker busy while the
-    // test probes the full queue.
-    std::string plan = "workload crc32\n"
-                       "subset fit = @crc32\n"
+    // A plan slow enough to keep the single worker busy while the
+    // test probes the full queue: primecount's co-simulation alone
+    // takes ~0.1 s. (On crc32 the whole sweep takes a few ms, and the
+    // probe sometimes arrived after it had finished.)
+    std::string plan = "workload primecount\n"
+                       "subset fit = @primecount\n"
                        "threads 1\n";
     for (int corner = 0; corner < 192; ++corner) {
         char line[64];

@@ -7,9 +7,14 @@
  *                                           RISSP (prints exit/MMIO;
  *                                           --verify co-simulates)
  *   risspgen synth <src.c> [-O2]            synthesis + physical
- *                                           summary vs the baselines
+ *            [--tech <spec>]                summary vs the baselines
  *   risspgen retarget <src.c> [-O2]         rewrite onto the minimal
  *                                           12-op subset and verify
+ *   risspgen explore <plan> [--threads N]   sweep a (subset x
+ *            [--no-verify] [--physical]     workload x tech) design
+ *            [--csv FILE] [--quiet]         space in parallel and
+ *                                           report the Pareto
+ *                                           frontier
  *   risspgen table3                         regenerate Table 3 for
  *                                           the bundled workloads
  *   risspgen techs                          list the registered
@@ -24,16 +29,28 @@
  *            [--idle-timeout SECONDS]
  *
  * Every verb accepts --json: the machine-readable response from the
- * Flow API, verbatim (see flow/json.hh), instead of the human table.
+ * Flow API, verbatim (see flow/json.hh), instead of the human table
+ * — for explore, the same bytes `POST /api/v1/explore` serves.
+ *
+ * Sources are MiniC (see README). A source argument of the form
+ * `@name` selects a bundled workload (e.g. @armpit, @crc32). `synth
+ * --tech <spec>` costs the design on a registered technology
+ * (tech/registry.hh grammar), e.g. --tech silicon-65nm or --tech
+ * flexic-0.6um:voltage=2.4,ffPowerRatio=8. Explore plan files use
+ * the grammar of explore/plan.hh (examples/demo.plan is a 9-point
+ * one); --threads overrides the plan's, and any value emits the
+ * same table. --no-verify skips lock-step co-simulation, --physical
+ * adds the P&R model per point, --csv writes the full table.
  *
  * Batch files are line-oriented; '#' starts a comment. Each line is
- * a request in the familiar verb syntax:
+ * a request in the verb syntax above, parsed by the same function as
+ * the command line, so a line takes the same request flags:
  *
  *   characterize @crc32 -O1
  *   run @armpit --verify
  *   synth @crc32 --tech silicon-65nm
  *   retarget bench.c
- *   explore sweep.plan
+ *   explore sweep.plan --physical
  *
  * The whole batch is handed to `FlowService::runBatch`, which runs
  * every request as one task on one shared work-stealing
@@ -41,13 +58,6 @@
  * source compiled, the same subset swept) is computed once for the
  * whole batch. Responses print in request order with a per-request
  * status; the exit code is 0 only if every request succeeded.
- *
- * `synth` accepts --tech <spec> to cost the design on a registered
- * technology (tech/registry.hh grammar), e.g. --tech silicon-65nm or
- * --tech flexic-0.6um:voltage=2.4,ffPowerRatio=8.
- *
- * Sources are MiniC (see README). A file argument of the form
- * `@name` selects a bundled workload (e.g. @armpit, @crc32).
  *
  * This main is a thin adapter: it loads files, builds a request,
  * calls `flow::FlowService`, and formats the response. All pipeline
@@ -76,15 +86,14 @@ namespace
 
 using namespace rissp;
 
-/** Everything parsed off the command line. */
+/** The output side of the command line: flags that shape what is
+ *  printed or where artifacts live, never what a request asks. */
 struct CliOptions
 {
     std::string command;
-    std::string sourceArg;
-    std::string techSpec; ///< --tech value; empty = default tech
     std::string cacheDir; ///< --cache-dir value; empty = no store
-    minic::OptLevel level = minic::OptLevel::O2;
-    bool verify = false; ///< run: co-simulate against the reference
+    std::string csvPath;  ///< explore --csv value; empty = no CSV
+    bool quiet = false;   ///< explore: drop the per-point table
     bool json = false;
 };
 
@@ -125,44 +134,6 @@ unknownFlag(const std::string &word, const std::string &verb)
     return Status::errorf(ErrorCode::ParseError,
                           "unknown flag '%s' for '%s'", word.c_str(),
                           verb.c_str());
-}
-
-/** The flags of a `<verb> <source>` request. */
-struct VerbFlags
-{
-    minic::OptLevel level = minic::OptLevel::O2;
-    bool verify = false;  ///< run only
-    std::string techSpec; ///< synth only; empty = default tech
-};
-
-/** Parse @p words, the words after `<verb> <source>`, for @p verb:
- *  an -O level, `--verify` on run, `--tech <spec>` on synth. Any
- *  other word is a ParseError naming it. Batch lines and the
- *  one-shot verbs share this, so both reject the same words with
- *  the same message. */
-Result<VerbFlags>
-parseVerbFlags(const std::string &verb,
-               const std::vector<std::string> &words)
-{
-    VerbFlags flags;
-    for (size_t i = 0; i < words.size(); ++i) {
-        const std::string &word = words[i];
-        if (optLevelFromWord(word, flags.level))
-            continue;
-        if (word == "--verify" && verb == "run") {
-            flags.verify = true;
-            continue;
-        }
-        if (word == "--tech" && verb == "synth") {
-            if (i + 1 >= words.size())
-                return Status::error(ErrorCode::ParseError,
-                                     "--tech needs a value");
-            flags.techSpec = words[++i];
-            continue;
-        }
-        return unknownFlag(word, verb);
-    }
-    return flags;
 }
 
 /** Parse a non-negative integer CLI value (no sign, no suffix, at
@@ -222,16 +193,130 @@ resolveSource(const std::string &arg)
     return flow::SourceRef::inlineText(text.take(), arg);
 }
 
-// Human-readable response printers, shared by the one-shot verbs
-// and the batch verb; each returns the verb's exit code.
+/** The verbs whose words `parseRequest` turns into a request. */
+bool
+isRequestVerb(const std::string &verb)
+{
+    return verb == "characterize" || verb == "run" ||
+           verb == "synth" || verb == "retarget" || verb == "explore";
+}
 
-int
-printCharacterize(const flow::CharacterizeResponse &response,
-                  minic::OptLevel level)
+/** A source verb's request with its source and -O level set. */
+template <typename SourceRequest>
+SourceRequest
+sourced(flow::SourceRef source, minic::OptLevel level)
+{
+    SourceRequest request;
+    request.source = std::move(source);
+    request.opt = level;
+    return request;
+}
+
+/**
+ * Turn `<verb> <source> [request flags]` into a request. This is the
+ * one parser behind the one-shot verbs and batch lines, so both take
+ * and refuse the same words with the same message. The source is
+ * `@workload` or a MiniC file, or a plan file for explore. Request
+ * flags: an -O level on the four source verbs, `--verify` on run,
+ * `--tech <spec>` on synth, and `--no-verify`, `--physical` and
+ * `--threads N` on explore; any other word is a ParseError naming
+ * it. The flags are read before the source is opened, and all file
+ * IO happens here, at the edge: the request handed to the service
+ * is self-contained.
+ */
+Result<flow::Request>
+parseRequest(const std::vector<std::string> &words)
+{
+    if (words.size() < 2)
+        return Status::error(ErrorCode::ParseError,
+                             "expected '<verb> <source> [flags]'");
+    const std::string &verb = words[0];
+    const bool isExplore = verb == "explore";
+    if (!isRequestVerb(verb))
+        return Status::errorf(ErrorCode::ParseError,
+                              "unknown verb '%s' (characterize, run, "
+                              "synth, retarget, explore)",
+                              verb.c_str());
+
+    minic::OptLevel level = minic::OptLevel::O2;
+    bool verify = false;
+    explore::TechSpec tech;
+    explore::ExplorerOptions options;
+    for (size_t i = 2; i < words.size(); ++i) {
+        const std::string &word = words[i];
+        if (!isExplore && optLevelFromWord(word, level))
+            continue;
+        if (verb == "run" && word == "--verify") {
+            verify = true;
+        } else if (isExplore && word == "--no-verify") {
+            options.verify = false;
+        } else if (isExplore && word == "--physical") {
+            options.physical = true;
+        } else if ((verb == "synth" && word == "--tech") ||
+                   (isExplore && word == "--threads")) {
+            if (i + 1 >= words.size())
+                return Status::errorf(ErrorCode::ParseError,
+                                      "%s needs a value", word.c_str());
+            const std::string &value = words[++i];
+            if (word == "--tech") {
+                Result<explore::TechSpec> spec =
+                    explore::TechSpec::fromSpec(value);
+                if (!spec)
+                    return spec.status();
+                tech = spec.take();
+                continue;
+            }
+            unsigned long n = 0;
+            if (!parseCount(value, 4096, n))
+                return Status::errorf(ErrorCode::ParseError,
+                                      "bad --threads value '%s'",
+                                      value.c_str());
+            options.threads = static_cast<unsigned>(n);
+        } else {
+            return unknownFlag(word, verb);
+        }
+    }
+
+    if (isExplore) {
+        Result<std::string> plan = readFile(words[1]);
+        if (!plan)
+            return plan.status();
+        flow::ExploreRequest request;
+        request.planText = plan.take();
+        request.options = options;
+        return flow::Request(std::move(request));
+    }
+    Result<flow::SourceRef> source = resolveSource(words[1]);
+    if (!source)
+        return source.status();
+    if (verb == "characterize")
+        return flow::Request(sourced<flow::CharacterizeRequest>(
+            source.take(), level));
+    if (verb == "run") {
+        flow::RunRequest request =
+            sourced<flow::RunRequest>(source.take(), level);
+        request.verify = verify;
+        return flow::Request(std::move(request));
+    }
+    if (verb == "synth") {
+        flow::SynthRequest request =
+            sourced<flow::SynthRequest>(source.take(), level);
+        request.tech = std::move(tech);
+        return flow::Request(std::move(request));
+    }
+    return flow::Request(
+        sourced<flow::RetargetRequest>(source.take(), level));
+}
+
+// Human-readable response printers: one per response kind, shared by
+// the one-shot verbs and the batch verb.
+
+void
+printCharacterize(const flow::CharacterizeResponse &response)
 {
     const InstrSubset &subset = response.subset.subset;
     std::printf("optimization   : %s\n",
-                minic::optLevelName(level).c_str());
+                minic::optLevelName(response.compile.opt).c_str());
     std::printf("code size      : %zu instructions (%zu bytes)\n",
                 response.compile.staticInstructions,
                 response.compile.textBytes);
@@ -244,28 +329,9 @@ printCharacterize(const flow::CharacterizeResponse &response,
                 "(%.0f%%)\n", subset.size(), kFullIsaSize,
                 subset.fractionOfFullIsa() * 100.0);
     std::printf("instructions   : %s\n", subset.describe().c_str());
-    return 0;
 }
 
-int
-cmdCharacterize(const flow::FlowService &service,
-                const flow::SourceRef &src, const CliOptions &cli)
-{
-    flow::CharacterizeRequest request;
-    request.source = src;
-    request.opt = cli.level;
-    const flow::CharacterizeResponse response =
-        service.characterize(request);
-    if (!response.status.isOk())
-        return reportError(response.status, cli.json);
-    if (cli.json) {
-        std::fputs(flow::toJson(response).c_str(), stdout);
-        return 0;
-    }
-    return printCharacterize(response, cli.level);
-}
-
-int
+void
 printRun(const flow::RunResponse &response)
 {
     const flow::ExecStage &exec = response.exec;
@@ -284,42 +350,15 @@ printRun(const flow::RunResponse &response)
     }
     if (!exec.outputText.empty())
         std::printf("output text   : %s\n", exec.outputText.c_str());
-    return exec.reason == StopReason::Halted ? 0 : 1;
-}
-
-int
-cmdRun(const flow::FlowService &service, const flow::SourceRef &src,
-       const CliOptions &cli)
-{
-    flow::RunRequest request;
-    request.source = src;
-    request.opt = cli.level;
-    request.verify = cli.verify;
-    const flow::RunResponse response = service.run(request);
-    // Trap and step-limit are valid outcomes of a valid request:
-    // the exec stage ran, so report it; only a request that never
-    // reached execution is an error.
-    if (!response.exec.run)
-        return reportError(response.status, cli.json);
-    // Only a clean halt, co-simulated clean when asked, exits 0.
-    const int code = response.status.isOk() ? 0 : 1;
-    if (cli.json) {
-        std::fputs(flow::toJson(response).c_str(), stdout);
-        return code;
-    }
-    printRun(response);
     const flow::CosimStage &cosim = response.cosim;
     if (cosim.run && cosim.passed)
         std::printf("co-simulation : passed, %llu RVFI events "
                     "checked\n",
                     static_cast<unsigned long long>(
                         cosim.rvfiEventsChecked));
-    else if (cosim.run)
-        reportError(response.status, false);
-    return code;
 }
 
-int
+void
 printSynth(const flow::SynthResponse &response)
 {
     const SynthReport &mine = response.synth.app;
@@ -351,31 +390,169 @@ printSynth(const flow::SynthResponse &response)
                 impl.implKhz, impl.dieXUm, impl.dieYUm,
                 impl.dieAreaMm2, impl.ffAreaFraction * 100.0,
                 impl.powerMw);
-    return 0;
 }
 
-int
-cmdSynth(const flow::FlowService &service, const flow::SourceRef &src,
-         const CliOptions &cli)
+void
+printRetarget(const flow::RetargetResponse &response)
 {
-    flow::SynthRequest request;
-    request.source = src;
-    request.opt = cli.level;
-    if (!cli.techSpec.empty()) {
-        Result<explore::TechSpec> tech =
-            explore::TechSpec::fromSpec(cli.techSpec);
-        if (!tech)
-            return reportError(tech.status(), cli.json);
-        request.tech = tech.take();
+    const RetargetResult &res = response.retarget.result;
+    if (!res.ok) {
+        std::printf("retargeting failed: %s\n", res.error.c_str());
+        return;
     }
-    const flow::SynthResponse response = service.synth(request);
-    if (!response.status.isOk())
-        return reportError(response.status, cli.json);
+    std::printf("macros         : %zu synthesized+verified\n",
+                res.macros.size());
+    std::printf("code size      : %zu -> %zu bytes (%+.1f%%)\n",
+                res.initialTextBytes, res.retargetedTextBytes,
+                res.codeGrowth() * 100.0);
+    std::printf("distinct ops   : %zu -> %zu\n",
+                res.initialSubset.size(), res.finalSubset.size());
+    const flow::EquivalenceStage &eq = response.equivalence;
+    std::printf("equivalence    : %s (exit %u vs %u)\n",
+                eq.matched ? "verified" : "MISMATCH", eq.refExit,
+                eq.dutExit);
+}
+
+/** The per-point table (unless @p quiet), the Pareto frontier, and a
+ *  summary line that counts memo lookups per point as hits/lookups:
+ *  compile (the point's workload, and the workload behind an
+ *  @workload subset), sim (one under the point's projected key, i.e.
+ *  its subset cut down to the workload's own ops, plus one under the
+ *  whole subset when the projected run trapped on an op outside
+ *  them) and synth (one per point). Misses are the distinct keys:
+ *  the compiles, runs and synthesis sweeps the sweep made. */
+void
+printExplore(const flow::ExploreResponse &response, bool quiet)
+{
+    const explore::ResultTable &table = response.table;
+    if (!quiet) {
+        std::printf("%-4s %-18s %-14s %-12s %6s %9s %10s %8s %10s "
+                    "%9s\n", "#", "subset", "workload", "tech", "ops",
+                    "cosim", "cycles", "fmax", "area GE", "power mW");
+        for (const explore::ExplorationResult &r : table.rows()) {
+            const char *verdict = !r.simRun ? "--"
+                : r.trapped ? "TRAP"
+                : r.cosimPassed ? "pass"
+                : "FAIL";
+            std::printf("%-4zu %-18s %-14s %-12s %6zu %9s %10llu "
+                        "%8.0f %10.0f %9.3f\n",
+                        r.index, r.subsetName.c_str(),
+                        r.workloadName.c_str(), r.techName.c_str(),
+                        r.subsetSize, verdict,
+                        static_cast<unsigned long long>(r.cycles),
+                        r.fmaxKhz, r.avgAreaGe, r.avgPowerMw);
+        }
+    }
+
+    const std::vector<size_t> frontier = table.paretoFrontier();
+    std::printf("\nPareto frontier (min cycles, area, power): "
+                "%zu of %zu points\n", frontier.size(),
+                table.size());
+    for (size_t i : frontier) {
+        const explore::ExplorationResult &r = table.row(i);
+        std::printf("  #%-3zu %-18s x %-14s cycles=%llu "
+                    "area=%.0fGE power=%.3fmW\n", r.index,
+                    r.subsetName.c_str(), r.workloadName.c_str(),
+                    static_cast<unsigned long long>(r.cycles),
+                    r.avgAreaGe, r.avgPowerMw);
+    }
+
+    const explore::ExplorerStats &stats = response.stats;
+    std::printf("\n%llu points | compile %llu/%llu | sim %llu/%llu | "
+                "synth %llu/%llu (memo hits/lookups)\n",
+                static_cast<unsigned long long>(stats.points),
+                static_cast<unsigned long long>(stats.compileHits),
+                static_cast<unsigned long long>(stats.compileHits +
+                                                stats.compileMisses),
+                static_cast<unsigned long long>(stats.simHits),
+                static_cast<unsigned long long>(stats.simHits +
+                                                stats.simMisses),
+                static_cast<unsigned long long>(stats.synthHits),
+                static_cast<unsigned long long>(stats.synthHits +
+                                                stats.synthMisses));
+}
+
+/** Whether a response carries a report: its verb's primary stage
+ *  ran. A trapped run or a retarget that failed its equivalence
+ *  check still reports (and exits 1); a request that never got that
+ *  far is only an error. */
+bool
+hasReport(const flow::Response &response)
+{
+    if (const auto *r = std::get_if<flow::RunResponse>(&response))
+        return r->exec.run;
+    if (const auto *r = std::get_if<flow::RetargetResponse>(&response))
+        return r->retarget.run;
+    return flow::responseStatus(response).isOk();
+}
+
+/** Print a response that has a report for a human. */
+void
+printResponse(const flow::Response &response, bool quiet)
+{
+    if (const auto *r =
+            std::get_if<flow::CharacterizeResponse>(&response))
+        printCharacterize(*r);
+    else if (const auto *r = std::get_if<flow::RunResponse>(&response))
+        printRun(*r);
+    else if (const auto *r =
+                 std::get_if<flow::SynthResponse>(&response))
+        printSynth(*r);
+    else if (const auto *r =
+                 std::get_if<flow::RetargetResponse>(&response))
+        printRetarget(*r);
+    else if (const auto *r =
+                 std::get_if<flow::ExploreResponse>(&response))
+        printExplore(*r, quiet);
+}
+
+/** A one-shot request verb: @p words is `<verb> <source> [request
+ *  flags]`, the output flags already taken off into @p cli. Only a
+ *  clean response exits 0; a word no flag takes exits 2. */
+int
+cmdRequest(const CliOptions &cli, const std::vector<std::string> &words)
+{
+    Result<flow::Request> request = parseRequest(words);
+    if (!request && request.status().code() == ErrorCode::ParseError) {
+        std::fprintf(stderr, "risspgen: error: %s\n",
+                     request.status().message().c_str());
+        return 2;
+    }
+    if (!request)
+        return reportError(request.status(), cli.json);
+
+    Result<std::shared_ptr<store::ArtifactStore>> artifacts =
+        openCliStore(cli);
+    if (!artifacts)
+        return reportError(artifacts.status(), cli.json);
+    flow::ServiceOptions serviceOptions;
+    serviceOptions.artifacts = artifacts.take();
+    const flow::FlowService service(serviceOptions);
+    const flow::Response response = service.dispatch(request.value());
+    const Status &status = flow::responseStatus(response);
+    if (!hasReport(response))
+        return reportError(status, cli.json);
+
+    if (!cli.csvPath.empty()) {
+        std::ofstream out(cli.csvPath);
+        out << std::get<flow::ExploreResponse>(response).table.csv();
+        if (!out)
+            return reportError(
+                Status::errorf(ErrorCode::InvalidArgument,
+                               "cannot write '%s'",
+                               cli.csvPath.c_str()),
+                cli.json);
+    }
     if (cli.json) {
         std::fputs(flow::toJson(response).c_str(), stdout);
-        return 0;
+        return status.isOk() ? 0 : 1;
     }
-    return printSynth(response);
+    printResponse(response, cli.quiet);
+    if (!cli.csvPath.empty())
+        std::printf("wrote %s\n", cli.csvPath.c_str());
+    // A report with a failed verdict (a trap, a cosim mismatch, a
+    // retarget that diverged) also names the failure on stderr.
+    return status.isOk() ? 0 : reportError(status, false);
 }
 
 int
@@ -413,48 +590,15 @@ cmdTechs(const CliOptions &cli)
 }
 
 int
-printRetarget(const flow::RetargetResponse &response)
+cmdTable3(const CliOptions &cli)
 {
-    const RetargetResult &res = response.retarget.result;
-    if (!res.ok) {
-        std::printf("retargeting failed: %s\n", res.error.c_str());
-        return 1;
-    }
-    std::printf("macros         : %zu synthesized+verified\n",
-                res.macros.size());
-    std::printf("code size      : %zu -> %zu bytes (%+.1f%%)\n",
-                res.initialTextBytes, res.retargetedTextBytes,
-                res.codeGrowth() * 100.0);
-    std::printf("distinct ops   : %zu -> %zu\n",
-                res.initialSubset.size(), res.finalSubset.size());
-    const flow::EquivalenceStage &eq = response.equivalence;
-    std::printf("equivalence    : %s (exit %u vs %u)\n",
-                eq.matched ? "verified" : "MISMATCH", eq.refExit,
-                eq.dutExit);
-    return eq.matched ? 0 : 1;
-}
-
-int
-cmdRetarget(const flow::FlowService &service,
-            const flow::SourceRef &src, const CliOptions &cli)
-{
-    flow::RetargetRequest request;
-    request.source = src;
-    request.opt = cli.level;
-    const flow::RetargetResponse response =
-        service.retarget(request);
-    if (!response.retarget.run)
-        return reportError(response.status, cli.json);
-    if (cli.json) {
-        std::fputs(flow::toJson(response).c_str(), stdout);
-        return response.status.isOk() ? 0 : 1;
-    }
-    return printRetarget(response);
-}
-
-int
-cmdTable3(const flow::FlowService &service, const CliOptions &cli)
-{
+    Result<std::shared_ptr<store::ArtifactStore>> artifacts =
+        openCliStore(cli);
+    if (!artifacts)
+        return reportError(artifacts.status(), cli.json);
+    flow::ServiceOptions serviceOptions;
+    serviceOptions.artifacts = artifacts.take();
+    const flow::FlowService service(serviceOptions);
     bool first = true;
     if (cli.json)
         std::printf("[\n");
@@ -483,149 +627,43 @@ cmdTable3(const flow::FlowService &service, const CliOptions &cli)
 
 // ---------------------------------------------------------- batch
 
-/** One parsed batch-file line. */
-struct BatchEntry
-{
-    int line = 0;
-    std::string text; ///< the request line, verbatim, for reports
-    flow::Request request;
-};
-
-/**
- * Parse one batch line: `<verb> <source> [flags...]` where source
- * is `@workload`, a MiniC file, or (for explore) a plan file. File
- * IO happens here, at the edge — the requests handed to the service
- * are self-contained.
- */
-Result<flow::Request>
-parseBatchLine(const std::string &line)
-{
-    std::istringstream in(line);
-    std::vector<std::string> words;
-    for (std::string word; in >> word;)
-        words.push_back(word);
-    if (words.size() < 2)
-        return Status::error(ErrorCode::ParseError,
-                             "expected '<verb> <source> [flags]'");
-    const std::string &verb = words[0];
-    const std::string &sourceArg = words[1];
-
-    if (verb == "explore") {
-        Result<std::string> plan = readFile(sourceArg);
-        if (!plan)
-            return plan.status();
-        flow::ExploreRequest request;
-        request.planText = plan.take();
-        if (words.size() > 2)
-            return Status::errorf(ErrorCode::ParseError,
-                                  "unknown explore flag '%s'",
-                                  words[2].c_str());
-        return flow::Request(std::move(request));
-    }
-
-    Result<flow::SourceRef> source = resolveSource(sourceArg);
-    if (!source)
-        return source.status();
-
-    Result<VerbFlags> flags = parseVerbFlags(
-        verb, std::vector<std::string>(words.begin() + 2, words.end()));
-    if (!flags)
-        return flags.status();
-    const minic::OptLevel level = flags.value().level;
-    const std::string &techSpec = flags.value().techSpec;
-
-    if (verb == "characterize") {
-        flow::CharacterizeRequest request;
-        request.source = source.take();
-        request.opt = level;
-        return flow::Request(std::move(request));
-    }
-    if (verb == "run") {
-        flow::RunRequest request;
-        request.source = source.take();
-        request.opt = level;
-        request.verify = flags.value().verify;
-        return flow::Request(std::move(request));
-    }
-    if (verb == "synth") {
-        flow::SynthRequest request;
-        request.source = source.take();
-        request.opt = level;
-        if (!techSpec.empty()) {
-            Result<explore::TechSpec> tech =
-                explore::TechSpec::fromSpec(techSpec);
-            if (!tech)
-                return tech.status();
-            request.tech = tech.take();
-        }
-        return flow::Request(std::move(request));
-    }
-    if (verb == "retarget") {
-        flow::RetargetRequest request;
-        request.source = source.take();
-        request.opt = level;
-        return flow::Request(std::move(request));
-    }
-    return Status::errorf(ErrorCode::ParseError,
-                          "unknown verb '%s' (characterize, run, "
-                          "synth, retarget, explore)",
-                          verb.c_str());
-}
-
-/** The opt level a request was parsed with (for the human report
- *  of a characterize response). */
-minic::OptLevel
-requestOptLevel(const flow::Request &request)
-{
-    if (const auto *c =
-            std::get_if<flow::CharacterizeRequest>(&request))
-        return c->opt;
-    return minic::OptLevel::O2;
-}
-
-/** Print one batch response body (human mode); mirrors what the
- *  one-shot verbs print when their primary stage ran. */
-void
-printBatchBody(const flow::Request &request,
-               const flow::Response &response)
-{
-    if (const auto *r =
-            std::get_if<flow::CharacterizeResponse>(&response)) {
-        if (r->status.isOk())
-            printCharacterize(*r, requestOptLevel(request));
-    } else if (const auto *r =
-                   std::get_if<flow::RunResponse>(&response)) {
-        if (r->exec.run)
-            printRun(*r);
-    } else if (const auto *r =
-                   std::get_if<flow::SynthResponse>(&response)) {
-        if (r->status.isOk())
-            printSynth(*r);
-    } else if (const auto *r =
-                   std::get_if<flow::RetargetResponse>(&response)) {
-        if (r->retarget.run)
-            printRetarget(*r);
-    } else if (const auto *r =
-                   std::get_if<flow::ExploreResponse>(&response)) {
-        if (r->status.isOk())
-            std::printf("%zu points swept, %zu on the Pareto "
-                        "frontier\n",
-                        r->table.size(),
-                        r->table.paretoFrontier().size());
-    }
-}
-
+/** `batch <file|-> [--threads N]`: @p words is the verb, the file
+ *  and the batch's own flags; each line of the file is parsed by
+ *  `parseRequest`. */
 int
-cmdBatch(const CliOptions &cli, const std::string &fileArg,
-         unsigned threads)
+cmdBatch(const CliOptions &cli, const std::vector<std::string> &words)
 {
+    unsigned threads = 0;
+    for (size_t i = 2; i < words.size(); ++i) {
+        const std::string &arg = words[i];
+        if (arg != "--threads") {
+            std::fprintf(stderr,
+                         "risspgen: unknown batch flag '%s'\n",
+                         arg.c_str());
+            return 2;
+        }
+        if (i + 1 >= words.size()) {
+            std::fprintf(stderr, "risspgen: --threads needs a value\n");
+            return 2;
+        }
+        const std::string &word = words[++i];
+        unsigned long n = 0;
+        if (!parseCount(word, 4096, n)) {
+            std::fprintf(stderr,
+                         "risspgen: bad --threads value '%s'\n",
+                         word.c_str());
+            return 2;
+        }
+        threads = static_cast<unsigned>(n);
+    }
+
     std::string text;
-    if (fileArg == "-") {
+    if (words[1] == "-") {
         std::ostringstream buf;
         buf << std::cin.rdbuf();
         text = buf.str();
     } else {
-        Result<std::string> file = readFile(fileArg);
+        Result<std::string> file = readFile(words[1]);
         if (!file)
             return reportError(file.status(), cli.json);
         text = file.take();
@@ -633,7 +671,8 @@ cmdBatch(const CliOptions &cli, const std::string &fileArg,
 
     // Parse every line first; like plan files, one pass reports
     // every malformed line, not just the first.
-    std::vector<BatchEntry> entries;
+    std::vector<std::string> texts; ///< request lines, for reports
+    std::vector<flow::Request> requests;
     std::vector<std::string> errors;
     std::istringstream lines(text);
     std::string line;
@@ -655,18 +694,19 @@ cmdBatch(const CliOptions &cli, const std::string &fileArg,
         if (last == std::string::npos)
             continue; // blank or comment-only
         line.erase(last + 1);
-        Result<flow::Request> request = parseBatchLine(line);
+        std::istringstream in(line);
+        std::vector<std::string> lineWords;
+        for (std::string word; in >> word;)
+            lineWords.push_back(word);
+        Result<flow::Request> request = parseRequest(lineWords);
         if (!request) {
             errors.push_back(
                 "batch line " + std::to_string(lineNo) + ": " +
                 request.status().message());
             continue;
         }
-        BatchEntry entry;
-        entry.line = lineNo;
-        entry.text = line;
-        entry.request = request.take();
-        entries.push_back(std::move(entry));
+        texts.push_back(line);
+        requests.push_back(request.take());
     }
     if (!errors.empty()) {
         for (const std::string &message : errors)
@@ -674,7 +714,7 @@ cmdBatch(const CliOptions &cli, const std::string &fileArg,
                          message.c_str());
         return 2;
     }
-    if (entries.empty()) {
+    if (requests.empty()) {
         std::fprintf(stderr, "risspgen: error: batch file has no "
                              "requests\n");
         return 2;
@@ -688,10 +728,6 @@ cmdBatch(const CliOptions &cli, const std::string &fileArg,
     serviceOptions.schedulerThreads = threads;
     serviceOptions.artifacts = artifacts.take();
     const flow::FlowService service(serviceOptions);
-    std::vector<flow::Request> requests;
-    requests.reserve(entries.size());
-    for (const BatchEntry &entry : entries)
-        requests.push_back(entry.request);
     const std::vector<flow::Response> responses =
         service.runBatch(requests);
 
@@ -710,9 +746,10 @@ cmdBatch(const CliOptions &cli, const std::string &fileArg,
             continue;
         }
         std::printf("%s=== request %zu: %s\n    status: %s\n",
-                    i ? "\n" : "", i + 1, entries[i].text.c_str(),
+                    i ? "\n" : "", i + 1, texts[i].c_str(),
                     status.toString().c_str());
-        printBatchBody(entries[i].request, responses[i]);
+        if (hasReport(responses[i]))
+            printResponse(responses[i], false);
     }
     if (cli.json)
         std::printf("]\n");
@@ -919,9 +956,9 @@ cmdCache(int argc, char **argv, const CliOptions &cli)
         const bool hasValue = i + 1 < argc;
         unsigned long n = 0;
         if (arg == "--json") {
-            continue; // parsed by the global flag loop
+            continue; // taken off by main
         } else if (arg == "--cache-dir" && hasValue) {
-            ++i; // parsed by the global flag loop
+            ++i; // taken off by main
         } else if (sub == "gc" && arg == "--max-mb" && hasValue &&
                    parseCount(argv[i + 1], 1'000'000'000ul, n)) {
             maxMb = n;
@@ -1024,7 +1061,7 @@ cmdServe(int argc, char **argv, const CliOptions &cli)
         } else if (arg == "--bind" && hasValue) {
             options.bindAddress = argv[++i];
         } else if (arg == "--cache-dir" && hasValue) {
-            ++i; // parsed by the global flag loop
+            ++i; // taken off by main
         } else {
             std::fprintf(stderr,
                          "risspgen: bad serve flag or value at "
@@ -1075,18 +1112,21 @@ usage()
 {
     std::printf(
         "usage: risspgen <command> [args]\n"
-        "  characterize <src.c|@workload> [-O0..-Oz] [--json]\n"
+        "  characterize <src.c|@workload> [-O0..-Oz]\n"
         "  run          <src.c|@workload> [-O0..-Oz] [--verify]\n"
-        "               [--json]\n"
-        "  synth        <src.c|@workload> [-O0..-Oz] [--json]\n"
+        "  synth        <src.c|@workload> [-O0..-Oz]\n"
         "               [--tech <name[:key=value,...]>]\n"
-        "  retarget     <src.c|@workload> [-O0..-Oz] [--json]\n"
-        "  table3 [--json]\n"
-        "  techs  [--json]            list registered technologies\n"
-        "  batch <file|-> [--threads N] [--json]\n"
-        "         serve one request per line concurrently; lines\n"
-        "         use the verb syntax above, plus 'run ... --verify'\n"
-        "         and 'explore <plan-file>'\n"
+        "  retarget     <src.c|@workload> [-O0..-Oz]\n"
+        "  explore      <plan-file> [--threads N] [--no-verify]\n"
+        "               [--physical] [--csv FILE] [--quiet]\n"
+        "         sweep a design space (plan grammar:\n"
+        "         src/explore/plan.hh) and print its Pareto frontier\n"
+        "  table3\n"
+        "  techs                      list registered technologies\n"
+        "  batch <file|-> [--threads N]\n"
+        "         serve one request per line concurrently; a line is\n"
+        "         one of the five verbs above with its request flags\n"
+        "         (not --json, --csv, --quiet or --cache-dir)\n"
         "  serve [--port N] [--bind ADDR] [--threads N]\n"
         "        [--max-queue N] [--max-connections N]\n"
         "        [--idle-timeout SECONDS]\n"
@@ -1094,15 +1134,32 @@ usage()
         "         POST /api/v1/<verb>, GET /metrics, GET /healthz,\n"
         "         POST /shutdown; drains gracefully on SIGTERM\n"
         "         (endpoint + schema reference: docs/SERVE.md)\n"
-        "  cache <stats|gc|warm> --cache-dir <dir> [--json]\n"
+        "  cache <stats|gc|warm> --cache-dir <dir>\n"
         "         inspect, garbage-collect (gc: [--max-mb N]\n"
         "         [--max-age-days N]) or pre-populate (warm:\n"
         "         [--threads N] [@workload...]) a persistent\n"
         "         artifact store (docs/CACHE.md)\n"
         "\n"
-        "Every verb accepts --cache-dir <dir>: persist compile/sim/\n"
-        "synth artifacts across runs in a content-addressed store\n"
-        "(created on first use).\n");
+        "Every verb accepts --json (the Flow API response on stdout)\n"
+        "and --cache-dir <dir>: persist compile/sim/synth artifacts\n"
+        "across runs in a content-addressed store (created on first\n"
+        "use).\n"
+        "\n"
+        "examples:\n"
+        "  risspgen characterize @crc32 -O1 --json\n"
+        "  risspgen run @armpit --verify\n"
+        "  risspgen synth @crc32 --tech flexic-0.6um:voltage=2.4,"
+        "ffPowerRatio=8\n"
+        "  risspgen retarget bench.c -Oz\n"
+        "  risspgen explore examples/demo.plan --threads 4 --physical"
+        " --csv sweep.csv --quiet\n"
+        "  risspgen explore sweep.plan --no-verify --json\n"
+        "  risspgen table3 --json\n"
+        "  risspgen techs\n"
+        "  risspgen batch requests.txt --threads 4 --json\n"
+        "  risspgen serve --port 8787 --threads 2 --cache-dir store\n"
+        "  risspgen cache gc --cache-dir store --max-mb 512\n"
+        "  risspgen cache warm --cache-dir store --threads 4 @crc32\n");
 }
 
 } // namespace
@@ -1116,132 +1173,52 @@ main(int argc, char **argv)
     }
     CliOptions cli;
     cli.command = argv[1];
+
+    // Take the output flags off: --json and --cache-dir on every
+    // verb, --csv and --quiet on explore. What is left is the verb's
+    // own words.
+    const bool isExplore = cli.command == "explore";
+    std::vector<std::string> words{cli.command};
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--json") {
             cli.json = true;
-        } else if (arg == "--tech") {
+        } else if (arg == "--cache-dir" || (isExplore && arg == "--csv")) {
             if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "risspgen: --tech needs a value\n");
+                std::fprintf(stderr, "risspgen: %s needs a value\n",
+                             arg.c_str());
                 return 2;
             }
-            cli.techSpec = argv[++i];
-        } else if (arg == "--cache-dir") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "risspgen: --cache-dir needs "
-                                     "a value\n");
-                return 2;
-            }
-            cli.cacheDir = argv[++i];
+            (arg == "--csv" ? cli.csvPath : cli.cacheDir) = argv[++i];
+        } else if (isExplore && arg == "--quiet") {
+            cli.quiet = true;
+        } else {
+            words.push_back(arg);
         }
     }
 
-    // Only synth costs a design on a technology; anywhere else a
-    // --tech would be silently ignored, which reads as "costed on
-    // the named node" to the user.
-    if (!cli.techSpec.empty() && cli.command != "synth") {
-        std::fprintf(stderr, "risspgen: --tech only applies to "
-                             "'synth'\n");
-        return 2;
-    }
-
-    if (cli.command == "batch") {
-        if (argc < 3) {
-            usage();
-            return 2;
-        }
-        unsigned threads = 0;
-        for (int i = 3; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg == "--json")
-                continue; // parsed by the global flag loop above
-            if (arg == "--cache-dir") {
-                ++i; // value parsed by the global flag loop above
-                continue;
-            }
-            if (arg == "--threads") {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr, "risspgen: --threads "
-                                         "needs a value\n");
-                    return 2;
-                }
-                const std::string word = argv[++i];
-                unsigned long n = 0;
-                if (!parseCount(word, 4096, n)) {
-                    std::fprintf(stderr,
-                                 "risspgen: bad --threads value "
-                                 "'%s'\n",
-                                 word.c_str());
-                    return 2;
-                }
-                threads = static_cast<unsigned>(n);
-                continue;
-            }
-            std::fprintf(stderr,
-                         "risspgen: unknown batch flag '%s'\n",
-                         arg.c_str());
-            return 2;
-        }
-        return cmdBatch(cli, argv[2], threads);
-    }
     if (cli.command == "serve")
         return cmdServe(argc, argv, cli);
     if (cli.command == "cache")
         return cmdCache(argc, argv, cli);
-
-    // The remaining verbs take a source (all but techs and table3),
-    // then flags; the global flags were read above.
-    const bool sourced = cli.command != "techs" &&
-        cli.command != "table3";
-    if (sourced && (argc < 3 || argv[2][0] == '-')) {
+    if (cli.command == "techs" || cli.command == "table3") {
+        if (words.size() > 1) { // no flags of their own
+            std::fprintf(stderr, "risspgen: error: %s\n",
+                         unknownFlag(words[1], cli.command)
+                             .message().c_str());
+            return 2;
+        }
+        return cli.command == "techs" ? cmdTechs(cli) : cmdTable3(cli);
+    }
+    // The rest take a source (or for batch, a file or '-') first.
+    if (words.size() < 2 || (words[1][0] == '-' && words[1] != "-")) {
         usage();
         return 2;
     }
-    std::vector<std::string> words;
-    for (int i = sourced ? 3 : 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--cache-dir")
-            ++i;
-        else if (arg != "--json")
-            words.push_back(arg);
-    }
-    Result<VerbFlags> flags = parseVerbFlags(cli.command, words);
-    if (flags && !sourced && !words.empty()) // no flags of their own
-        flags = unknownFlag(words.front(), cli.command);
-    if (!flags) {
-        std::fprintf(stderr, "risspgen: error: %s\n",
-                     flags.status().message().c_str());
-        return 2;
-    }
-    cli.level = flags.value().level;
-    cli.verify = flags.value().verify;
-
-    Result<std::shared_ptr<store::ArtifactStore>> artifacts =
-        openCliStore(cli);
-    if (!artifacts)
-        return reportError(artifacts.status(), cli.json);
-    flow::ServiceOptions serviceOptions;
-    serviceOptions.artifacts = artifacts.take();
-    const flow::FlowService service(serviceOptions);
-    if (cli.command == "techs")
-        return cmdTechs(cli);
-    if (cli.command == "table3")
-        return cmdTable3(service, cli);
-    cli.sourceArg = argv[2];
-
-    Result<flow::SourceRef> src = resolveSource(cli.sourceArg);
-    if (!src)
-        return reportError(src.status(), cli.json);
-
-    if (cli.command == "characterize")
-        return cmdCharacterize(service, src.value(), cli);
-    if (cli.command == "run")
-        return cmdRun(service, src.value(), cli);
-    if (cli.command == "synth")
-        return cmdSynth(service, src.value(), cli);
-    if (cli.command == "retarget")
-        return cmdRetarget(service, src.value(), cli);
+    if (cli.command == "batch")
+        return cmdBatch(cli, words);
+    if (isRequestVerb(cli.command))
+        return cmdRequest(cli, words);
     usage();
     return 2;
 }
