@@ -130,7 +130,7 @@ Scheduler::ensureWorkersLocked()
     queues.resize(numThreads);
     workers.reserve(numThreads);
     for (unsigned w = 0; w < numThreads; ++w)
-        workers.emplace_back(&Scheduler::workerLoop, this, w);
+        workers.emplace_back(&Scheduler::workerLoop, this, w, nullptr);
 }
 
 Scheduler::TaskPtr
@@ -209,11 +209,14 @@ Scheduler::completeLocked(const TaskPtr &task,
             group->firstFailedNode = task->node;
             group->firstFailure = error;
         }
-        // Only runToCompletion waits on doneCv, for its group's last
-        // node. Waking it on every node made the caller take the lock
-        // once per node, in contention with the workers.
-        if (--group->pending == 0)
+        // Only runToCompletion waits for its group's last node: on
+        // doneCv off the pool, on workCv while helping. Waking it on
+        // every node made the caller take the lock once per node, in
+        // contention with the workers.
+        if (--group->pending == 0) {
             doneCv.notify_all();
+            workCv.notify_all();
+        }
     }
     if (error) {
         failDependentsLocked(task, error);
@@ -234,15 +237,17 @@ Scheduler::completeLocked(const TaskPtr &task,
 }
 
 void
-Scheduler::workerLoop(unsigned self)
+Scheduler::workerLoop(unsigned self, const Group *until)
 {
     tlsScheduler = this;
     tlsWorker = self;
     UniqueLock lock(mu);
     for (;;) {
+        if (until && until->pending == 0)
+            break;
         TaskPtr task = popLocked(self);
         if (!task) {
-            if (stopping)
+            if (!until && stopping)
                 break;
             workCv.wait(lock);
             continue;
@@ -333,13 +338,11 @@ void
 Scheduler::runSerial(TaskGraph &graph)
 {
     // Deterministic inline execution: always run the lowest-id
-    // ready node next. Because subgraphs are added in work order
-    // (e.g. one exploration point's prepare/sim/synth/row before
-    // the next point's), this finishes each subgraph before
-    // starting the next — exactly the old fully-serial per-point
-    // schedule the byte-identical `--threads 1` outputs (and the
-    // per-row memo-hit flags) are pinned against, and it keeps at
-    // most one subgraph's intermediate state alive at a time.
+    // ready node next. Because subgraphs are added in work order,
+    // this finishes each subgraph before starting the next and keeps
+    // at most one subgraph's intermediate state alive at a time; an
+    // explore graph, whose nodes are added in plan order, runs its
+    // sims and synths in plan order.
     const size_t count = graph.nodes.size();
     std::vector<uint32_t> pending(count, 0);
     std::vector<std::vector<TaskId>> dependents(count);
@@ -399,6 +402,7 @@ Scheduler::runSerial(TaskGraph &graph)
     }
     {
         LockGuard lock(mu);
+        submittedTasks += count;
         executed += ran;
     }
     if (firstFailure)
@@ -418,11 +422,13 @@ Scheduler::runToCompletion(TaskGraph graph)
     Group group;
     group.pending = graph.nodes.size();
     std::vector<TaskPtr> tasks(graph.nodes.size());
+    const unsigned self = currentWorker();
     {
         UniqueLock lock(mu);
         if (stopping)
             panic("Scheduler::runToCompletion during shutdown");
         ensureWorkersLocked();
+        submittedTasks += tasks.size();
         for (TaskId id = 0; id < tasks.size(); ++id) {
             auto task = std::make_shared<Handle::Task>();
             task->fn = std::move(graph.nodes[id].fn);
@@ -459,9 +465,14 @@ Scheduler::runToCompletion(TaskGraph graph)
         // read in the locked scope (a lambda body is checked as a
         // separate, lock-free function). `group` lives on this
         // stack frame but is mutated by completeLocked under `mu`.
-        while (group.pending != 0)
+        while (self == kExternal && group.pending != 0)
             doneCv.wait(lock);
     }
+    // On a worker, help: parking it would take one worker from the
+    // pool per waiting task, and a pool whose every worker waits on a
+    // graph would never run that graph's nodes.
+    if (self != kExternal)
+        workerLoop(self, &group);
     if (group.firstFailure)
         std::rethrow_exception(group.firstFailure);
 }

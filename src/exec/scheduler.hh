@@ -35,10 +35,13 @@
  *    dependents observe `TaskCancelled`. Running tasks finish.
  *
  * Thread-safety: every method is safe to call from any thread,
- * including from inside a running task (but a task must not wait on
- * its own scheduler's unstarted work — block only on work that is
- * computing on some thread, which is exactly what the StageCaches
- * dedup guarantees). The locking discipline is compiler-checked on
+ * including from inside a running task. A task that calls
+ * `runToCompletion` on its own scheduler helps: its worker runs ready
+ * tasks, its graph's or anyone's, until the graph settles. Helping is
+ * deadlock-free because no `flow::StageCaches` compute ever calls
+ * `runToCompletion`: a task may block only on a StageCaches future,
+ * whose compute then sits at the top of some thread's stack and
+ * finishes. The locking discipline is compiler-checked on
  * Clang: all mutable state is `RISSP_GUARDED_BY(mu)` and every
  * `*Locked` helper statically `RISSP_REQUIRES(mu)` (see
  * util/thread_annotations.hh and docs/STATIC_ANALYSIS.md).
@@ -129,7 +132,9 @@ class Scheduler
      * Execute every node of @p graph, respecting its edges; blocks
      * until the graph has settled. With 1 thread, runs inline on the
      * caller (lowest ready id first); otherwise the worker pool
-     * executes ready nodes concurrently, stealing as needed.
+     * executes ready nodes concurrently, stealing as needed. Called
+     * from one of this scheduler's own workers, that worker runs
+     * ready tasks until the graph settles rather than waiting.
      * Reentrant: concurrent graphs (and dynamic tasks) share the
      * workers. If any node threw, rethrows the exception of the
      * lowest-id failed node after the graph settles.
@@ -150,9 +155,10 @@ class Scheduler
      *  failed tasks are not counted). */
     uint64_t tasksRun() const;
 
-    /** Tasks accepted by submit() over the scheduler's lifetime
-     *  (whether or not they ran) — with tasksRun(), the lag of the
-     *  dynamic request path a /metrics endpoint reports. */
+    /** Tasks accepted over the scheduler's lifetime (whether or not
+     *  they ran): submit() calls plus every node of every graph
+     *  handed to runToCompletion(). With tasksRun(), the lag a
+     *  /metrics endpoint reports. */
     uint64_t submitted() const;
 
     /** Ready tasks sitting in worker deques right now — the queue
@@ -160,7 +166,9 @@ class Scheduler
      *  is stale the moment the lock drops. */
     size_t queueDepth() const;
 
-    /** Task bodies executing on a worker right now (snapshot). */
+    /** Task bodies executing right now (snapshot). A worker that
+     *  helps inside runToCompletion() counts its waiting task and
+     *  the one it helps with, so this can exceed threadCount(). */
     size_t inFlight() const;
 
   private:
@@ -170,7 +178,10 @@ class Scheduler
     struct Group;
 
     void ensureWorkersLocked() RISSP_REQUIRES(mu);
-    void workerLoop(unsigned self);
+    /** Run ready tasks on worker @p self until @p until settles,
+     *  or, with no group, until the scheduler stops (a worker
+     *  thread's whole life). */
+    void workerLoop(unsigned self, const Group *until);
     TaskPtr popLocked(unsigned self) RISSP_REQUIRES(mu);
     void enqueueReadyLocked(const TaskPtr &task, unsigned hint)
         RISSP_REQUIRES(mu);
@@ -186,7 +197,7 @@ class Scheduler
     unsigned numThreads; ///< immutable after construction
 
     mutable Mutex mu;
-    CondVar workCv;  ///< workers: work or stop
+    CondVar workCv;  ///< workers: work, stop, or a group settled
     CondVar doneCv;  ///< runToCompletion: a group settled
     /** One deque per worker. Task structs popped from a deque are
      *  also guarded by `mu` (state transitions, dependents, group
@@ -201,7 +212,7 @@ class Scheduler
     unsigned nextQueue RISSP_GUARDED_BY(mu) = 0;
     uint64_t steals RISSP_GUARDED_BY(mu) = 0;
     uint64_t executed RISSP_GUARDED_BY(mu) = 0;
-    /** Dynamic tasks accepted by submit(). */
+    /** Tasks accepted by submit() and runToCompletion(). */
     uint64_t submittedTasks RISSP_GUARDED_BY(mu) = 0;
     /** Task bodies currently executing. */
     size_t running RISSP_GUARDED_BY(mu) = 0;

@@ -4,8 +4,8 @@
  *
  * A `TaskGraph` describes one batch of pipeline work at *stage*
  * granularity: each node is a single stage (compile, sim, cosim,
- * synth, pnr, a result-row write, ...) rather than a whole plan cell
- * or request, and edges say which stages must complete first. The
+ * synth, pnr, ...) rather than a whole plan cell or request, and
+ * edges say which stages must complete first. The
  * graph is pure description — building one runs nothing; handing it
  * to `exec::Scheduler::runToCompletion` does.
  *

@@ -5,6 +5,7 @@
 
 #include "explore/explorer.hh"
 
+#include <optional>
 #include <unordered_map>
 
 #include "core/rissp.hh"
@@ -54,10 +55,12 @@ subsetOfMask(uint64_t mask)
 } // namespace
 
 Explorer::Explorer(ExplorerOptions options,
-                   std::shared_ptr<flow::StageCaches> shared_caches)
+                   std::shared_ptr<flow::StageCaches> shared_caches,
+                   exec::Scheduler *scheduler)
     : opts(options),
       caches(shared_caches ? std::move(shared_caches)
-                           : std::make_shared<flow::StageCaches>())
+                           : std::make_shared<flow::StageCaches>()),
+      shared(scheduler)
 {
 }
 
@@ -215,10 +218,9 @@ ResultTable
 Explorer::explore(const ExplorationPlan &plan)
 {
     const std::vector<PlanPoint> points = plan.expand();
-    ResultTable table(points.size());
-    const unsigned threads =
-        opts.threads != 0 ? opts.threads : plan.threads;
-    exec::Scheduler scheduler(threads);
+    std::optional<exec::Scheduler> own;
+    exec::Scheduler &scheduler = shared ? *shared
+        : own.emplace(opts.threads != 0 ? opts.threads : plan.threads);
 
     // Stage 1: compile each workload the plan needs (its workload
     // axis and the workloads behind its @workload subsets) once, in
@@ -282,25 +284,17 @@ Explorer::explore(const ExplorationPlan &plan)
         }
     }
 
-    // Stage 2: one sim node per distinct projected key, one synth
-    // node per distinct (subset, tech), and one row node per point
-    // that depends on the two it reads:
-    //
-    //      sim(subset & static(w), w) ──┐
-    //                                   ├─► row(subset, w, tech)
-    //      synth(subset, tech) ─────────┘
-    //
-    // No two nodes share a key, so no worker waits in the memo
-    // cache on another worker's in-flight run. Nodes are added in
-    // plan order, so the scheduler starts the first points' work
-    // first. Stats and memo-hit flags are noted here, in plan order,
-    // so they do not depend on the schedule.
+    // Stage 2: one sim node per distinct projected key and one synth
+    // node per distinct (subset, tech). No two nodes share a key, so
+    // no worker waits in the memo cache on another worker's in-flight
+    // run. Nodes are added in plan order, so the scheduler starts the
+    // first points' work first. Stats and memo-hit flags are noted
+    // here, in plan order, so they do not depend on the schedule.
     struct SimNode
     {
         uint64_t subsetFp = 0; ///< projected onto wl's static set
         const Workload *wl = nullptr;
         flow::SimOutcome out;
-        exec::TaskId task = 0;
     };
     struct SynthNode
     {
@@ -309,7 +303,6 @@ Explorer::explore(const ExplorationPlan &plan)
         const InstrSubset *subset = nullptr;
         const Technology *tech = nullptr;
         flow::SynthOutcome out;
-        exec::TaskId task = 0;
     };
     // Reserved up front: the node lambdas capture nodes by address.
     std::vector<SimNode> sims;
@@ -320,6 +313,9 @@ Explorer::explore(const ExplorationPlan &plan)
         simIdx;
     std::unordered_map<FingerprintPair, size_t, FingerprintPairHash>
         synthIdx;
+    std::vector<ExplorationResult> rows(points.size());
+    /** Per point, the sim and synth node its row reads. */
+    std::vector<std::pair<size_t, size_t>> rowNodes(points.size());
 
     exec::TaskGraph graph;
     for (const PlanPoint &pt : points) {
@@ -331,23 +327,28 @@ Explorer::explore(const ExplorationPlan &plan)
         if (sspec.kind == SubsetSpec::Kind::FromWorkload)
             noteCompileLookup(
                 workloads[workloadIdx.at(sspec.workload)].key);
+        ExplorationResult &row = rows[pt.index];
+        row.index = pt.index;
+        row.subsetName = sspec.name;
+        row.workloadName = plan.workloads[pt.workloadIdx];
+        row.techName = tech.tech.name;
+        row.subset = subsets[pt.subsetIdx];
+        row.subsetSize = row.subset.size();
 
-        std::vector<exec::TaskId> deps;
-        const SimNode *sim = nullptr;
-        bool simHit = false;
         if (opts.simulate) {
             const Workload &wl =
                 workloads[axisWorkload[pt.workloadIdx]];
             noteCompileLookup(wl.key);
             const FingerprintPair key{subsetFp & wl.staticMask,
                                       wl.key};
-            simHit = noteSimLookup(key);
+            row.simRun = true;
+            row.simMemoHit = noteSimLookup(key);
             const auto [it, fresh] = simIdx.emplace(key, sims.size());
             if (fresh) {
                 SimNode &node = sims.emplace_back();
                 node.subsetFp = key.first;
                 node.wl = &wl;
-                node.task = graph.add(
+                graph.add(
                     [this, &node] {
                         node.out = lookupSim(
                             node.subsetFp, node.wl->compiled.program,
@@ -355,15 +356,13 @@ Explorer::explore(const ExplorationPlan &plan)
                     },
                     {}, "sim");
             }
-            sim = &sims[it->second];
-            deps.push_back(sim->task);
+            rowNodes[pt.index].first = it->second;
         }
-        const SynthNode *synth = nullptr;
-        bool synthHit = false;
         if (opts.synthesize) {
             const FingerprintPair key{subsetFp,
                                       techFingerprint(tech.tech)};
-            synthHit = noteSynthLookup(key);
+            row.synthRun = true;
+            row.synthMemoHit = noteSynthLookup(key);
             const auto [it, fresh] =
                 synthIdx.emplace(key, synths.size());
             if (fresh) {
@@ -372,7 +371,7 @@ Explorer::explore(const ExplorationPlan &plan)
                 node.name = &sspec.name;
                 node.subset = &subsets[pt.subsetIdx];
                 node.tech = &tech.tech;
-                node.task = graph.add(
+                graph.add(
                     [this, &node] {
                         node.out = caches->synthLookup(node.key, [&] {
                             return synthesizePoint(
@@ -381,65 +380,50 @@ Explorer::explore(const ExplorationPlan &plan)
                     },
                     {}, "synth");
             }
-            synth = &synths[it->second];
-            deps.push_back(synth->task);
+            rowNodes[pt.index].second = it->second;
         }
-
-        graph.add(
-            [this, &plan, &subsets, &table, &sspec, &tech, pt,
-             subsetFp, sim, simHit, synth, synthHit] {
-                ExplorationResult row;
-                row.index = pt.index;
-                row.subsetName = sspec.name;
-                row.workloadName = plan.workloads[pt.workloadIdx];
-                row.techName = tech.tech.name;
-                row.subset = subsets[pt.subsetIdx];
-                row.subsetSize = row.subset.size();
-                if (sim) {
-                    const Workload &wl = *sim->wl;
-                    const flow::SimOutcome out =
-                        settleSim(sim->out, subsetFp,
-                                  wl.compiled.program, wl.key,
-                                  wl.staticMask);
-                    row.simRun = true;
-                    row.simMemoHit = simHit;
-                    row.trapped = out.trapped;
-                    row.cosimPassed = out.cosimPassed;
-                    row.cycles = out.cycles;
-                    row.exitCode = out.exitCode;
-                    row.signature = out.signature;
-                }
-                if (synth) {
-                    const flow::SynthOutcome &out = synth->out;
-                    row.synthRun = true;
-                    row.synthMemoHit = synthHit;
-                    row.fmaxKhz = out.fmaxKhz;
-                    row.avgAreaGe = out.avgAreaGe;
-                    row.avgPowerMw = out.avgPowerMw;
-                    row.epiNj = out.epiNj;
-                    row.physRun = out.physRun;
-                    row.dieAreaMm2 = out.dieAreaMm2;
-                    row.physPowerMw = out.physPowerMw;
-                }
-                pointCount.fetch_add(1, std::memory_order_relaxed);
-                table.set(std::move(row));
-            },
-            deps, "row");
     }
     scheduler.runToCompletion(std::move(graph));
-    return table;
+
+    // Fill the rows in plan order on this thread: a row is ~1 us of
+    // copying, less than a task hand-off.
+    for (ExplorationResult &row : rows) {
+        const auto [simNode, synthNode] = rowNodes[row.index];
+        if (row.simRun) {
+            const SimNode &sim = sims[simNode];
+            const flow::SimOutcome out = settleSim(
+                sim.out, subsetFingerprint(row.subset),
+                sim.wl->compiled.program, sim.wl->key,
+                sim.wl->staticMask);
+            row.trapped = out.trapped;
+            row.cosimPassed = out.cosimPassed;
+            row.cycles = out.cycles;
+            row.exitCode = out.exitCode;
+            row.signature = out.signature;
+        }
+        if (row.synthRun) {
+            const flow::SynthOutcome &out = synths[synthNode].out;
+            row.fmaxKhz = out.fmaxKhz;
+            row.avgAreaGe = out.avgAreaGe;
+            row.avgPowerMw = out.avgPowerMw;
+            row.epiNj = out.epiNj;
+            row.physRun = out.physRun;
+            row.dieAreaMm2 = out.dieAreaMm2;
+            row.physPowerMw = out.physPowerMw;
+        }
+    }
+    {
+        LockGuard lock(statsMu);
+        tallies.points += points.size();
+    }
+    return ResultTable(std::move(rows));
 }
 
 ExplorerStats
 Explorer::stats() const
 {
-    ExplorerStats s;
-    {
-        LockGuard lock(statsMu);
-        s = tallies;
-    }
-    s.points = pointCount.load(std::memory_order_relaxed);
-    return s;
+    LockGuard lock(statsMu);
+    return tallies;
 }
 
 } // namespace rissp::explore

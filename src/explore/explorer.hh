@@ -22,19 +22,20 @@
  *
  * explore() compiles each plan workload and resolves each plan
  * subset once, then runs one `exec::TaskGraph` on a work-stealing
- * `exec::Scheduler` with one sim node per distinct projected key,
- * one synth node per distinct (subset, tech) and one row node per
- * point that depends on the two it reads. So one point's synthesis
- * overlaps another's co-simulation, and no worker waits on another
- * worker's in-flight run of the same key. The caches live in a
- * shared `flow::StageCaches` (by default private to the Explorer,
- * but a `FlowService` passes its own), so they persist across
+ * `exec::Scheduler` with one sim node per distinct projected key and
+ * one synth node per distinct (subset, tech). So one point's
+ * synthesis overlaps another's co-simulation, and no worker waits on
+ * another worker's in-flight run of the same key. The rows are then
+ * filled in plan order on the calling thread. The caches live in a
+ * shared `flow::StageCaches`, and the graphs run on a shared
+ * scheduler; both are private to the Explorer by default, and a
+ * `FlowService` passes its own. So the caches persist across
  * explore() calls — and across every other entry point sharing the
  * set: repeated points are free.
  *
- * Every model underneath is deterministic and every point writes its
- * own pre-allocated result row, so the emitted table is identical for
- * any thread count.
+ * Every model underneath is deterministic and the rows are written
+ * in plan order after the graph has run, so the emitted table is
+ * identical for any thread count.
  */
 
 #ifndef RISSP_EXPLORE_EXPLORER_HH
@@ -52,13 +53,21 @@
 #include "util/mutex.hh"
 #include "util/thread_annotations.hh"
 
+namespace rissp::exec
+{
+class Scheduler;
+}
+
 namespace rissp::explore
 {
 
 /** What the Explorer does at each point. */
 struct ExplorerOptions
 {
-    unsigned threads = 0;     ///< 0 = plan's choice, else hw threads
+    /** Workers of the Explorer's private scheduler: 0 = the plan's
+     *  `threads`, else hardware threads. An Explorer given a
+     *  scheduler (every FlowService sweep) does not read it. */
+    unsigned threads = 0;
     bool simulate = true;     ///< run the workload on the RISSP
     bool verify = true;       ///< lock-step cosim vs the reference ISS
     bool synthesize = true;   ///< frequency-sweep synthesis
@@ -97,10 +106,15 @@ class Explorer
   public:
     /** @param caches stage caches to use; by default the Explorer
      *  makes a private set. Pass a shared set (e.g. a FlowService's)
-     *  to pool work across engines and request verbs. */
+     *  to pool work across engines and request verbs.
+     *  @param scheduler where explore() runs its graphs; by default
+     *  each explore() call makes a private one of options.threads
+     *  (else the plan's `threads`) workers. Pass a shared one (e.g.
+     *  a FlowService's) to start no thread of its own. */
     explicit Explorer(
         ExplorerOptions options = {},
-        std::shared_ptr<flow::StageCaches> caches = nullptr);
+        std::shared_ptr<flow::StageCaches> caches = nullptr,
+        exec::Scheduler *scheduler = nullptr);
 
     /** Explore every point of @p plan; rows come back in plan order.
      *  The plan must validate() (panic() otherwise) — user-provided
@@ -171,7 +185,7 @@ class Explorer
 
     ExplorerOptions opts;
     std::shared_ptr<flow::StageCaches> caches;
-    std::atomic<uint64_t> pointCount{0};
+    exec::Scheduler *shared; ///< null: a private one per explore()
 
     mutable Mutex statsMu;
     std::unordered_set<uint64_t> seenCompile
@@ -180,8 +194,7 @@ class Explorer
         RISSP_GUARDED_BY(statsMu);
     std::unordered_set<FingerprintPair, FingerprintPairHash>
         seenSynth RISSP_GUARDED_BY(statsMu);
-    /** The engine-local hit/miss tallies (points lives in
-     *  pointCount). */
+    /** The engine-local point count and hit/miss tallies. */
     ExplorerStats tallies RISSP_GUARDED_BY(statsMu);
 };
 

@@ -100,7 +100,9 @@ class ExplorationPlan
     std::vector<TechSpec> techs;        ///< empty means default tech
     minic::OptLevel opt = minic::OptLevel::O2;
     Mode mode = Mode::Cartesian;
-    unsigned threads = 0;               ///< 0 = hardware concurrency
+    /** Workers for `risspgen explore` or a standalone Explorer (0 =
+     *  hardware concurrency); a FlowService sweep does not read it. */
+    unsigned threads = 0;
 
     /**
      * Check the plan is explorable: axes non-empty, Paired-mode

@@ -13,16 +13,6 @@
 namespace rissp::explore
 {
 
-void
-ResultTable::set(ExplorationResult result)
-{
-    const size_t index = result.index;
-    if (index >= table.size())
-        panic("ResultTable::set: row %zu out of range (%zu rows)",
-              index, table.size());
-    table[index] = std::move(result);
-}
-
 const ExplorationResult &
 ResultTable::row(size_t index) const
 {

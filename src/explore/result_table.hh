@@ -1,13 +1,13 @@
 /**
  * @file
- * Thread-safe result collection for design-space exploration.
+ * Result collection for design-space exploration.
  *
- * Every expanded plan point owns one pre-allocated row, so workers
- * write disjoint elements without locks or contention, and the table
- * reads back in plan order no
- * matter how the pool scheduled the points — the property that makes
- * a multi-threaded sweep emit byte-identical CSV to a single-threaded
- * one. Emitters cover CSV (spreadsheet/pandas) and JSON (the
+ * Every expanded plan point owns one pre-allocated row, and the
+ * Explorer fills the rows in plan order after its graph has run, so
+ * the table reads back the same no matter how the pool scheduled the
+ * stages — the property that makes a multi-threaded sweep emit
+ * byte-identical CSV to a single-threaded one. Emitters cover CSV
+ * (spreadsheet/pandas) and JSON (the
  * `BENCH_*.json` trajectory format, see docs/BENCHMARKS.md); the
  * Pareto query answers the question the paper's Figures 7-9 ask:
  * which subsets are worth building?
@@ -61,23 +61,18 @@ struct ExplorationResult
     bool synthMemoHit = false; ///< synth result reused from the cache
 };
 
-/** Fixed-size, thread-safe table of exploration results. */
+/** Fixed-size table of exploration results. */
 class ResultTable
 {
   public:
     ResultTable() = default;
-    explicit ResultTable(size_t rows) : table(rows) {}
+    /** @p rows in plan order: row i has index i. */
+    explicit ResultTable(std::vector<ExplorationResult> rows)
+        : table(std::move(rows))
+    {
+    }
 
     size_t size() const { return table.size(); }
-
-    /**
-     * Store @p result at its own index. Lock-free: rows are
-     * pre-allocated and every plan point owns exactly one index, so
-     * concurrent workers write disjoint elements — callers must not
-     * write the same index from two threads, and must not read rows
-     * until the batch completes.
-     */
-    void set(ExplorationResult result);
 
     const ExplorationResult &row(size_t index) const;
     const std::vector<ExplorationResult> &rows() const

@@ -301,8 +301,9 @@ const Status &responseStatus(const Response &response);
 /** Construction options beyond the caches themselves. */
 struct ServiceOptions
 {
-    /** Worker threads for the async/batch scheduler (0 = hardware
-     *  concurrency); the scheduler starts lazily on first use. */
+    /** Worker threads for the scheduler that runs async/batch
+     *  requests and every explore sweep (0 = hardware concurrency);
+     *  the scheduler starts lazily on first use. */
     unsigned schedulerThreads = 0;
 
     /** Attach a persistent `store::DiskStore` at this directory
@@ -321,7 +322,8 @@ struct ServiceOptions
  *
  *  Requests can be served three ways, all against the same shared
  *  `StageCaches`:
- *   - the synchronous verbs below, on the caller's thread;
+ *   - the synchronous verbs below, on the caller's thread (explore
+ *     runs its sweep's stages on the service's scheduler);
  *   - `submitAsync`, which runs the same verb as one task on the
  *     service's work-stealing `exec::Scheduler` and returns a
  *     future;
@@ -337,9 +339,9 @@ class FlowService
   public:
     /** @param caches stage caches to adopt; by default the service
      *  creates its own set.
-     *  @param scheduler_threads worker threads for the async/batch
-     *  scheduler (0 = hardware concurrency); the scheduler starts
-     *  lazily on the first submitAsync/runBatch call. */
+     *  @param scheduler_threads worker threads for the scheduler
+     *  behind async/batch requests and explore sweeps (0 = hardware
+     *  concurrency); it starts lazily on first use. */
     explicit FlowService(
         std::shared_ptr<StageCaches> caches = nullptr,
         unsigned scheduler_threads = 0);
@@ -387,7 +389,8 @@ class FlowService
         return stageCaches;
     }
 
-    /** The service's request scheduler (started on first use). */
+    /** The service's scheduler (started on first use): it runs
+     *  async/batch requests and the stages of every explore sweep. */
     exec::Scheduler &scheduler() const;
 
   private:

@@ -364,7 +364,8 @@ FlowService::explore(const ExploreRequest &request) const
         return response;
     }
 
-    explore::Explorer explorer(request.options, stageCaches);
+    explore::Explorer explorer(request.options, stageCaches,
+                               &scheduler());
     response.table = explorer.explore(response.plan);
     response.stats = explorer.stats();
     return response;

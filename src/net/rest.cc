@@ -1,6 +1,5 @@
 #include "net/rest.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <initializer_list>
 
@@ -292,7 +291,7 @@ retargetFromJson(const JsonValue &body)
 Result<flow::Request>
 exploreFromJson(const JsonValue &body)
 {
-    Status fields = checkFields(body, {"plan", "threads"});
+    Status fields = checkFields(body, {"plan"});
     if (!fields.isOk())
         return fields;
     const JsonValue *plan = body.find("plan");
@@ -301,14 +300,8 @@ exploreFromJson(const JsonValue &body)
                              "missing 'plan'");
     if (!plan->isString())
         return wrongKind("plan", *plan, "string");
-    Result<uint64_t> threads =
-        countField(body, "threads", 0, 4096);
-    if (!threads)
-        return threads.status();
     flow::ExploreRequest request;
     request.planText = plan->asString();
-    request.options.threads =
-        static_cast<unsigned>(threads.value());
     return flow::Request(std::move(request));
 }
 
@@ -395,33 +388,6 @@ requestFromBody(Verb verb, const std::string &body)
     if (!parsed)
         return parsed.status();
     return requestFromJson(verb, parsed.value());
-}
-
-unsigned
-servedExploreThreads(unsigned body_threads, unsigned plan_threads,
-                     unsigned daemon_threads)
-{
-    const unsigned asked = body_threads != 0 ? body_threads
-        : plan_threads != 0 ? plan_threads
-        : daemon_threads;
-    return std::min(asked, daemon_threads);
-}
-
-void
-boundServedThreads(flow::Request &request, unsigned daemon_threads)
-{
-    auto *explore = std::get_if<flow::ExploreRequest>(&request);
-    if (!explore)
-        return;
-    if (!explore->plan) {
-        Result<explore::ExplorationPlan> plan =
-            explore::ExplorationPlan::parse(explore->planText);
-        if (plan)
-            explore->plan = plan.take();
-    }
-    explore->options.threads = servedExploreThreads(
-        explore->options.threads,
-        explore->plan ? explore->plan->threads : 0, daemon_threads);
 }
 
 int

@@ -23,8 +23,8 @@
  *   retarget      "target": [mnemonics], "max_steps": number,
  *                 "verify_equivalence": bool
  *   explore       "plan": plan text (required; replaces the common
- *                 source), "threads": number (capped at the daemon's
- *                 scheduler threads, see servedExploreThreads)
+ *                 source). The sweep runs on the daemon's scheduler,
+ *                 so a request asks for no threads.
  *
  * Unknown fields are rejected with InvalidArgument naming the field:
  * a client typo ("verfy") must never silently change behavior.
@@ -70,22 +70,6 @@ Result<flow::Request> requestFromJson(Verb verb,
 /** Convenience: parse @p body as JSON, then map it. */
 Result<flow::Request> requestFromBody(Verb verb,
                                       const std::string &body);
-
-/** Worker threads a served explore may start: what it asks for
- *  (the body's "threads", else its plan's `threads` line), capped
- *  at the daemon's own scheduler thread count @p daemon_threads,
- *  which is also the default. 0 in a request means "unset". */
-unsigned servedExploreThreads(unsigned body_threads,
-                              unsigned plan_threads,
-                              unsigned daemon_threads);
-
-/** Bound a served request's worker threads: an explore request gets
- *  servedExploreThreads() as its thread count. Its plan text is
- *  parsed here, once, into the request's plan; a plan that does not
- *  parse is left for the service to report. Other verbs start no
- *  threads of their own and pass through. */
-void boundServedThreads(flow::Request &request,
-                        unsigned daemon_threads);
 
 /**
  * The HTTP status code a response status maps onto. Client-side

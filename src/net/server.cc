@@ -394,8 +394,6 @@ HttpServer::serveVerb(Verb verb, const std::string &body,
     if (!request)
         return errorResponse(httpStatusFor(request.status()),
                              request.status(), keep_alive);
-    boundServedThreads(request.value(),
-                       service.scheduler().threadCount());
     const size_t slot = static_cast<size_t>(verb);
     verbTotals[slot].fetch_add(1, std::memory_order_relaxed);
     Status failure;

@@ -14,7 +14,8 @@
  * stage caches (a thousand clients asking for the same synth sweep
  * compile and sweep it once) — and the response is queued back to
  * the reactor through its wake pipe. `--threads` sizes *compute*,
- * decoupled from the connection count.
+ * decoupled from the connection count; an explore request runs its
+ * sweep's stages on the same workers and starts no thread.
  *
  * Operational semantics, in order of importance:
  *

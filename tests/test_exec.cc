@@ -13,9 +13,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 
 #include "compiler/driver.hh"
 #include "exec/scheduler.hh"
@@ -273,6 +277,65 @@ TEST(Scheduler, WorkerSubmittedTasksAreStolen)
         .wait();
     EXPECT_EQ(ran.load(), 8);
     EXPECT_GT(scheduler.stealCount(), 0u);
+}
+
+TEST(Scheduler, GraphsStartedOnEveryWorkerComplete)
+{
+    // Every worker runs a task that waits on a graph of its own, so
+    // no worker is left idle: each must help run the graphs' nodes
+    // instead of parking. A scheduler that parks them never finishes;
+    // then the test fails at the deadline and leaks the scheduler and
+    // the state its stuck workers hold rather than hanging in
+    // ~Scheduler.
+    struct Shared
+    {
+        std::atomic<unsigned> started{0};
+        std::atomic<unsigned> nodesRun{0};
+    };
+    constexpr unsigned kNodes = 8;
+    auto scheduler = std::make_unique<Scheduler>(4);
+    auto shared = std::make_shared<Shared>();
+    const unsigned workers = scheduler->threadCount();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    std::vector<std::future<void>> done;
+    std::vector<Scheduler::Handle> tasks;
+    for (unsigned t = 0; t < workers; ++t) {
+        auto promise = std::make_shared<std::promise<void>>();
+        done.push_back(promise->get_future());
+        Scheduler *pool = scheduler.get();
+        tasks.push_back(scheduler->submit([pool, shared, promise,
+                                           workers, deadline] {
+            // Hold every worker before any graph starts.
+            ++shared->started;
+            while (shared->started < workers &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::yield();
+            TaskGraph graph;
+            const TaskId root =
+                graph.add([shared] { ++shared->nodesRun; });
+            for (unsigned n = 1; n < kNodes; ++n)
+                graph.add([shared] { ++shared->nodesRun; }, {root});
+            pool->runToCompletion(std::move(graph));
+            promise->set_value();
+        }));
+    }
+    for (std::future<void> &future : done) {
+        if (future.wait_until(deadline) != std::future_status::ready) {
+            ADD_FAILURE() << "a worker waiting on its graph never "
+                             "returned";
+            scheduler.release(); // its workers are stuck for good
+            return;
+        }
+        future.get();
+    }
+    for (const Scheduler::Handle &task : tasks)
+        task.wait(); // counted once its body has returned
+    EXPECT_EQ(shared->nodesRun.load(), workers * kNodes);
+    // Graph nodes count as accepted tasks, so nothing ran that was
+    // not submitted.
+    EXPECT_EQ(scheduler->submitted(), workers * (kNodes + 1));
+    EXPECT_EQ(scheduler->tasksRun(), scheduler->submitted());
 }
 
 // ------------------------------------------------ stage dedup

@@ -614,14 +614,12 @@ TEST(ResultTableCsv, CommaBearingTechNamesAreQuoted)
 
 TEST(ResultTableCsv, QuotesCrLfAndEmbeddedQuotesAreEscaped)
 {
-    ResultTable table(1);
     ExplorationResult row;
     row.index = 0;
     row.subsetName = "a\"b";
     row.workloadName = "w\r1";
     row.techName = "t,x\ny";
-    table.set(row);
-    const std::string csv = table.csv();
+    const std::string csv = ResultTable({row}).csv();
     EXPECT_NE(csv.find("\"a\"\"b\""), std::string::npos) << csv;
     EXPECT_NE(csv.find("\"w\r1\""), std::string::npos) << csv;
     EXPECT_NE(csv.find("\"t,x\ny\""), std::string::npos) << csv;
@@ -649,10 +647,11 @@ TEST(Pareto, HandComputedThreePoints)
 {
     // A: fast and small. B: faster but bigger. C: worse than A on
     // every axis. Frontier = {A, B}.
-    ResultTable table(3);
-    table.set(point(0, 100, 10.0, 1.0));  // A
-    table.set(point(1, 90, 12.0, 1.1));   // B
-    table.set(point(2, 110, 11.0, 1.2));  // C
+    const ResultTable table({
+        point(0, 100, 10.0, 1.0), // A
+        point(1, 90, 12.0, 1.1),  // B
+        point(2, 110, 11.0, 1.2), // C
+    });
     EXPECT_TRUE(ResultTable::dominates(table.row(0), table.row(2)));
     EXPECT_FALSE(ResultTable::dominates(table.row(0), table.row(1)));
     EXPECT_FALSE(ResultTable::dominates(table.row(1), table.row(0)));
@@ -662,12 +661,13 @@ TEST(Pareto, HandComputedThreePoints)
 
 TEST(Pareto, TiesAreKeptAndFailuresExcluded)
 {
-    ResultTable table(3);
-    table.set(point(0, 100, 10.0, 1.0));
-    table.set(point(1, 100, 10.0, 1.0)); // exact tie: both kept
     ExplorationResult failed = point(2, 1, 1.0, 0.1); // "best"...
     failed.cosimPassed = false;          // ...but functionally wrong
-    table.set(failed);
+    const ResultTable table({
+        point(0, 100, 10.0, 1.0),
+        point(1, 100, 10.0, 1.0), // exact tie: both kept
+        failed,
+    });
     const std::vector<size_t> frontier = table.paretoFrontier();
     EXPECT_EQ(frontier, (std::vector<size_t>{0, 1}));
 }

@@ -345,14 +345,13 @@ TEST(FlowExplore, InvalidProgrammaticPlanIsRejected)
 
 TEST(FlowExplore, ValidPlanSweeps)
 {
-    FlowService service;
+    FlowService service(nullptr, 2);
     ExploreRequest request;
     request.planText =
         "mode cartesian\n"
         "workload crc32\n"
         "subset fit  = @crc32\n"
         "subset full = @full\n";
-    request.options.threads = 2;
     const ExploreResponse response = service.explore(request);
     ASSERT_TRUE(response.status.isOk());
     ASSERT_EQ(response.table.size(), 2u);
@@ -362,7 +361,8 @@ TEST(FlowExplore, ValidPlanSweeps)
 
 TEST(FlowExplore, MultiTechPlanTagsEveryRow)
 {
-    FlowService service;
+    // One worker: the sweep runs inline, in plan order.
+    FlowService service(nullptr, 1);
     ExploreRequest request;
     request.planText =
         "mode cartesian\n"
@@ -371,8 +371,6 @@ TEST(FlowExplore, MultiTechPlanTagsEveryRow)
         "subset full = @full\n"
         "tech flexic-0.6um\n"
         "tech silicon-65nm\n";
-    // Serial: the memo-hit assertions below depend on plan order.
-    request.options.threads = 1;
     const ExploreResponse response = service.explore(request);
     ASSERT_TRUE(response.status.isOk());
     ASSERT_EQ(response.table.size(), 4u);

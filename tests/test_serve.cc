@@ -29,6 +29,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -414,40 +416,80 @@ TEST(ServeErrors, DeeplyNestedSourceIsA400AndTheDaemonLives)
     expectStillAlive(harness.port());
 }
 
-TEST(ServeLimits, ExploreThreadsAreCappedAtTheDaemonsOwn)
+TEST(ServeLimits, ExploreBodyCannotAskForThreads)
 {
-    // The mapping alone: no explore runs and no thread starts here.
-    EXPECT_EQ(servedExploreThreads(4096, 0, 4), 4u);
-    EXPECT_EQ(servedExploreThreads(0, 4096, 4), 4u);
-    EXPECT_EQ(servedExploreThreads(0, 0, 4), 4u);
-    EXPECT_EQ(servedExploreThreads(2, 4096, 4), 2u);
-    EXPECT_EQ(servedExploreThreads(0, 3, 4), 3u);
-    EXPECT_EQ(servedExploreThreads(1, 0, 8), 1u);
-
-    // Both ways a body can ask for threads, through the wire parser.
-    auto bounded = [](const std::string &body) {
-        Result<flow::Request> request =
-            requestFromBody(Verb::Explore, body);
-        EXPECT_TRUE(request.isOk()) << request.status().toString();
-        boundServedThreads(request.value(), 4);
-        return std::get<flow::ExploreRequest>(request.value());
-    };
-    const flow::ExploreRequest fromBody = bounded(
+    // A served sweep runs on the daemon's own workers, so the body
+    // has no thread count to ask for: "threads" is an unknown field.
+    Harness harness;
+    const auto response = httpRequest(
+        harness.port(), "POST", "/api/v1/explore",
         R"({"plan": "workload crc32\nsubset fit = @crc32\n", )"
         R"("threads": 4096})");
-    EXPECT_EQ(fromBody.options.threads, 4u);
-    ASSERT_TRUE(fromBody.plan.has_value()); // parsed once, here
-    EXPECT_EQ(fromBody.plan->workloads.size(), 1u);
-    const flow::ExploreRequest fromPlan = bounded(
-        R"({"plan": "threads 4096\nworkload crc32\n)"
-        R"(subset fit = @crc32\n"})");
-    EXPECT_EQ(fromPlan.options.threads, 4u);
-    // A plan that does not parse is still bounded; the service
-    // reports the parse error before any thread starts.
-    const flow::ExploreRequest broken =
-        bounded(R"({"plan": "frobnicate\n", "threads": 4096})");
-    EXPECT_FALSE(broken.plan.has_value());
-    EXPECT_EQ(broken.options.threads, 4u);
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->status, 400);
+    EXPECT_NE(response->body.find("unknown field 'threads'"),
+              std::string::npos)
+        << response->body;
+    expectStillAlive(harness.port());
+}
+
+/** The process's thread count, from /proc/self/status; 0 where that
+ *  file does not exist. */
+unsigned
+processThreads()
+{
+    std::FILE *status = std::fopen("/proc/self/status", "r");
+    if (!status)
+        return 0;
+    unsigned threads = 0;
+    char line[256];
+    while (std::fgets(line, sizeof line, status))
+        if (std::sscanf(line, "Threads: %u", &threads) == 1)
+            break;
+    std::fclose(status);
+    return threads;
+}
+
+TEST(ServeLimits, ServedExploreRunsOnTheDaemonsWorkers)
+{
+    // The plan's `threads 64` line asks for more workers than the
+    // daemon's two; the sweep must run its graph nodes on those two
+    // and start no thread, at any moment of the request.
+    Harness harness(ServeOptions{}, 2);
+    ASSERT_TRUE(
+        httpRequest(harness.port(), "GET", "/healthz").has_value());
+    // Start the workers (they start on the first task).
+    ASSERT_TRUE(httpRequest(harness.port(), "POST",
+                            "/api/v1/characterize",
+                            R"({"workload": "crc32"})")
+                    .has_value());
+    const double before = settledTasksRun(harness.port());
+
+    std::atomic<bool> sweeping{true};
+    std::atomic<unsigned> peak{0};
+    std::thread sampler([&] {
+        do
+            peak = std::max(peak.load(), processThreads());
+        while (sweeping.load());
+    });
+    const unsigned level = processThreads(); // sampler included
+    // primecount's full-ISA cosim keeps the sweep busy for a while.
+    const auto response = httpRequest(
+        harness.port(), "POST", "/api/v1/explore",
+        R"({"plan": "threads 64\nworkload primecount\n)"
+        R"(subset fit = @primecount\nsubset full = @full\n"})");
+    sweeping = false;
+    sampler.join();
+    ASSERT_TRUE(response.has_value());
+    ASSERT_EQ(response->status, 200) << response->body;
+
+    if (level != 0) {
+        EXPECT_EQ(peak.load(), level);
+    }
+    // One request task, then the sweep's nodes: one compile, one sim
+    // (both subsets project onto primecount's own ops), and two
+    // synths.
+    EXPECT_EQ(settledTasksRun(harness.port()) - before, 1.0 + 4.0);
 }
 
 TEST(ServeErrors, UnknownVerbAndPathAre404)

@@ -828,9 +828,9 @@ TEST(FlowServiceStore, WarmBootServesByteIdenticalTables)
                        "workload crc32\n"
                        "subset fit  = @crc32\n"
                        "subset full = @full\n";
-    request.options.threads = 2;
 
     flow::ServiceOptions cold;
+    cold.schedulerThreads = 2;
     cold.cacheDir = tmp.path("store");
     std::string coldJson;
     {

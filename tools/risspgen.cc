@@ -38,13 +38,16 @@
  * (tech/registry.hh grammar), e.g. --tech silicon-65nm or --tech
  * flexic-0.6um:voltage=2.4,ffPowerRatio=8. Explore plan files use
  * the grammar of explore/plan.hh (examples/demo.plan is a 9-point
- * one); --threads overrides the plan's, and any value emits the
- * same table. --no-verify skips lock-step co-simulation, --physical
- * adds the P&R model per point, --csv writes the full table.
+ * one); --threads (else the plan's `threads` line) sizes the
+ * workers the sweep runs on, and any value emits the same table.
+ * --no-verify skips lock-step co-simulation, --physical adds the P&R
+ * model per point, --csv writes the full table.
  *
  * Batch files are line-oriented; '#' starts a comment. Each line is
  * a request in the verb syntax above, parsed by the same function as
- * the command line, so a line takes the same request flags:
+ * the command line, so a line takes the same request flags (explore's
+ * --threads is not one: the batch's own --threads sizes every line's
+ * sweep):
  *
  *   characterize @crc32 -O1
  *   run @armpit --verify
@@ -87,12 +90,14 @@ namespace
 using namespace rissp;
 
 /** The output side of the command line: flags that shape what is
- *  printed or where artifacts live, never what a request asks. */
+ *  printed, where artifacts live or how many workers the service
+ *  runs, never what a request asks. */
 struct CliOptions
 {
     std::string command;
     std::string cacheDir; ///< --cache-dir value; empty = no store
     std::string csvPath;  ///< explore --csv value; empty = no CSV
+    unsigned threads = 0; ///< explore --threads value; 0 = the plan's
     bool quiet = false;   ///< explore: drop the per-point table
     bool json = false;
 };
@@ -218,11 +223,10 @@ sourced(flow::SourceRef source, minic::OptLevel level)
  * and refuse the same words with the same message. The source is
  * `@workload` or a MiniC file, or a plan file for explore. Request
  * flags: an -O level on the four source verbs, `--verify` on run,
- * `--tech <spec>` on synth, and `--no-verify`, `--physical` and
- * `--threads N` on explore; any other word is a ParseError naming
- * it. The flags are read before the source is opened, and all file
- * IO happens here, at the edge: the request handed to the service
- * is self-contained.
+ * `--tech <spec>` on synth, and `--no-verify` and `--physical` on
+ * explore; any other word is a ParseError naming it. The flags are
+ * read before the source is opened, and all file IO happens here, at
+ * the edge: the request handed to the service is self-contained.
  */
 Result<flow::Request>
 parseRequest(const std::vector<std::string> &words)
@@ -252,26 +256,15 @@ parseRequest(const std::vector<std::string> &words)
             options.verify = false;
         } else if (isExplore && word == "--physical") {
             options.physical = true;
-        } else if ((verb == "synth" && word == "--tech") ||
-                   (isExplore && word == "--threads")) {
+        } else if (verb == "synth" && word == "--tech") {
             if (i + 1 >= words.size())
                 return Status::errorf(ErrorCode::ParseError,
                                       "%s needs a value", word.c_str());
-            const std::string &value = words[++i];
-            if (word == "--tech") {
-                Result<explore::TechSpec> spec =
-                    explore::TechSpec::fromSpec(value);
-                if (!spec)
-                    return spec.status();
-                tech = spec.take();
-                continue;
-            }
-            unsigned long n = 0;
-            if (!parseCount(value, 4096, n))
-                return Status::errorf(ErrorCode::ParseError,
-                                      "bad --threads value '%s'",
-                                      value.c_str());
-            options.threads = static_cast<unsigned>(n);
+            Result<explore::TechSpec> spec =
+                explore::TechSpec::fromSpec(words[++i]);
+            if (!spec)
+                return spec.status();
+            tech = spec.take();
         } else {
             return unknownFlag(word, verb);
         }
@@ -527,6 +520,20 @@ cmdRequest(const CliOptions &cli, const std::vector<std::string> &words)
         return reportError(artifacts.status(), cli.json);
     flow::ServiceOptions serviceOptions;
     serviceOptions.artifacts = artifacts.take();
+    // An explore sweep runs on the service's workers: --threads, else
+    // the plan's `threads` line. The plan is parsed once, here; one
+    // that does not parse is left for the service to report.
+    serviceOptions.schedulerThreads = cli.threads;
+    if (auto *explore =
+            std::get_if<flow::ExploreRequest>(&request.value())) {
+        Result<explore::ExplorationPlan> plan =
+            explore::ExplorationPlan::parse(explore->planText);
+        if (plan) {
+            explore->plan = plan.take();
+            if (cli.threads == 0)
+                serviceOptions.schedulerThreads = explore->plan->threads;
+        }
+    }
     const flow::FlowService service(serviceOptions);
     const flow::Response response = service.dispatch(request.value());
     const Status &status = flow::responseStatus(response);
@@ -892,7 +899,6 @@ cmdCacheWarm(const CliOptions &cli,
         flow::ExploreRequest explore;
         explore.planText = "workload " + name + "\nsubset fit = @" +
                            name + "\n";
-        explore.options.threads = 1; // batch provides parallelism
         requests.push_back(std::move(explore));
 
         flow::SynthRequest synth;
@@ -1126,7 +1132,8 @@ usage()
         "  batch <file|-> [--threads N]\n"
         "         serve one request per line concurrently; a line is\n"
         "         one of the five verbs above with its request flags\n"
-        "         (not --json, --csv, --quiet or --cache-dir)\n"
+        "         (not --json, --csv, --quiet, --threads or\n"
+        "         --cache-dir); --threads sizes every line's work\n"
         "  serve [--port N] [--bind ADDR] [--threads N]\n"
         "        [--max-queue N] [--max-connections N]\n"
         "        [--idle-timeout SECONDS]\n"
@@ -1175,21 +1182,34 @@ main(int argc, char **argv)
     cli.command = argv[1];
 
     // Take the output flags off: --json and --cache-dir on every
-    // verb, --csv and --quiet on explore. What is left is the verb's
-    // own words.
+    // verb, --csv, --threads and --quiet on explore. What is left is
+    // the verb's own words.
     const bool isExplore = cli.command == "explore";
     std::vector<std::string> words{cli.command};
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--json") {
             cli.json = true;
-        } else if (arg == "--cache-dir" || (isExplore && arg == "--csv")) {
+        } else if (arg == "--cache-dir" ||
+                   (isExplore && (arg == "--csv" || arg == "--threads"))) {
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "risspgen: %s needs a value\n",
                              arg.c_str());
                 return 2;
             }
-            (arg == "--csv" ? cli.csvPath : cli.cacheDir) = argv[++i];
+            const std::string value = argv[++i];
+            if (arg != "--threads") {
+                (arg == "--csv" ? cli.csvPath : cli.cacheDir) = value;
+                continue;
+            }
+            unsigned long n = 0;
+            if (!parseCount(value, 4096, n)) {
+                std::fprintf(stderr, "risspgen: error: bad --threads "
+                                     "value '%s'\n",
+                             value.c_str());
+                return 2;
+            }
+            cli.threads = static_cast<unsigned>(n);
         } else if (isExplore && arg == "--quiet") {
             cli.quiet = true;
         } else {
